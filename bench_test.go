@@ -549,20 +549,19 @@ func BenchmarkFETCHEndToEnd(b *testing.B) {
 	}
 }
 
-// --- Intra-binary sharding ---
+// --- Intra-binary parallelism ---
 
-// shardBenchBinary builds the large synthetic corpus shape the sharded
-// pipeline is judged on: one big binary (the service's worst case —
-// batch parallelism cannot help a single upload).
+// jobsBenchBinary builds one large synthetic binary (the service's
+// worst case — batch parallelism cannot help a single upload).
 var (
-	shardBenchOnce sync.Once
-	shardBenchRaw  []byte
+	jobsBenchOnce sync.Once
+	jobsBenchRaw  []byte
 )
 
-func shardBenchBinary(b *testing.B) []byte {
+func jobsBenchBinary(b *testing.B) []byte {
 	b.Helper()
-	shardBenchOnce.Do(func() {
-		cfg := synth.DefaultConfig("bench-sharded", 91000, synth.O2, synth.GCC, synth.LangC)
+	jobsBenchOnce.Do(func() {
+		cfg := synth.DefaultConfig("bench-jobs", 91000, synth.O2, synth.GCC, synth.LangC)
 		cfg.NumFuncs = 1200
 		cfg.IndirectOnlyRate = 0.02
 		img, _, err := synth.Generate(cfg)
@@ -573,24 +572,21 @@ func shardBenchBinary(b *testing.B) []byte {
 		if err != nil {
 			panic(err)
 		}
-		shardBenchRaw = raw
+		jobsBenchRaw = raw
 	})
-	return shardBenchRaw
+	return jobsBenchRaw
 }
 
-// BenchmarkShardedAnalyze measures the full pipeline on the large
-// shape at several intra-binary worker counts. jobs=1 is the exact
-// sequential path; jobs=4 is the headline configuration (≥1.5× on
-// multicore hardware — the shard walks, non-return inference, and
-// candidate validation are the parallel portion; the deterministic
-// merge is the serial residue, reported by stats.merge_wall_ns). On a
-// single-CPU host the sharded legs measure pure overhead instead of
-// speedup; shard_fallbacks and the per-shard counters in -v output
-// break the difference down. Every leg also re-checks that output is
-// byte-identical to sequential, so a broken sharded path fails the CI
-// bench smoke rather than silently benchmarking garbage.
-func BenchmarkShardedAnalyze(b *testing.B) {
-	raw := shardBenchBinary(b)
+// BenchmarkJobsAnalyze measures the full pipeline on the large shape
+// at several intra-binary worker counts. jobs=1 is the exact
+// sequential path; jobs>1 parallelizes only the independent units
+// (pointer-candidate verdicts, per-FDE precomputations, data-index
+// chunks) around the sequential disassembly fixed point. Every leg
+// also re-checks that output is byte-identical to sequential, so a
+// broken parallel stage fails the CI bench smoke rather than silently
+// benchmarking garbage.
+func BenchmarkJobsAnalyze(b *testing.B) {
+	raw := jobsBenchBinary(b)
 	ref, err := Analyze(raw, WithJobs(1))
 	if err != nil {
 		b.Fatal(err)
@@ -602,13 +598,11 @@ func BenchmarkShardedAnalyze(b *testing.B) {
 	for _, jobs := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
 			b.SetBytes(int64(len(raw)))
-			var fallbacks int
 			for i := 0; i < b.N; i++ {
 				res, err := Analyze(raw, WithJobs(jobs))
 				if err != nil {
 					b.Fatal(err)
 				}
-				fallbacks = res.Stats.ShardFallbacks
 				if i == 0 {
 					blob, err := EncodeResult(StripSchedule(res))
 					if err != nil {
@@ -619,7 +613,6 @@ func BenchmarkShardedAnalyze(b *testing.B) {
 					}
 				}
 			}
-			b.ReportMetric(float64(fallbacks), "fallbacks")
 			b.ReportMetric(float64(len(ref.FunctionStarts)), "funcs")
 		})
 	}

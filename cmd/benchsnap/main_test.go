@@ -13,7 +13,7 @@ cpu: AMD EPYC 7B13
 BenchmarkCacheCold-8      	       1	331224601 ns/op	  0.88 MB/s
 BenchmarkCacheHit-8       	    3966	    293924 ns/op	993.77 MB/s
 BenchmarkDeltaReanalysis-8	       1	  20714804 ns/op	  12.41 ×vs-cold	 14.11 MB/s
-BenchmarkShardedAnalyze/jobs=4-8	       1	151000000 ns/op	         0 fallbacks	      1213 funcs
+BenchmarkJobsAnalyze/jobs=4-8	       1	151000000 ns/op	      1213 funcs
 PASS
 ok  	fetch	12.345s
 `
@@ -41,9 +41,9 @@ func TestRunParsesBenchOutput(t *testing.T) {
 	if delta.NsPerOp != 20714804 || delta.Metrics["×vs-cold"] != 12.41 {
 		t.Fatalf("delta entry: %+v", delta)
 	}
-	sharded := byName["BenchmarkShardedAnalyze/jobs=4"]
-	if sharded.Procs != 8 || sharded.Metrics["funcs"] != 1213 {
-		t.Fatalf("sharded entry: %+v", sharded)
+	jobs := byName["BenchmarkJobsAnalyze/jobs=4"]
+	if jobs.Procs != 8 || jobs.Metrics["funcs"] != 1213 {
+		t.Fatalf("jobs entry: %+v", jobs)
 	}
 	// Output is sorted by name for clean diffs.
 	for i := 1; i < len(snap.Benchmarks); i++ {

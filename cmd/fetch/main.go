@@ -110,7 +110,7 @@ func run(args []string, w, errW io.Writer) error {
 	sample := fs.Bool("sample", false, "analyze a generated sample binary instead of a file")
 	seed := fs.Int64("seed", 1, "sample generation seed")
 	arch := fs.String("arch", "", "sample ISA: x64 (default) or a64; real binaries dispatch on their ELF header")
-	jobs := fs.Int("jobs", 0, "parallelism: across binaries when several are given, inside the binary when one is (0 = one per CPU)")
+	jobs := fs.Int("jobs", 0, "parallelism: across binaries when several are given; for one, over its xref candidates, FDEs and data chunks (0 = one per CPU)")
 	cacheDir := fs.String("cache-dir", "", "persistent result cache directory (reuses results across runs)")
 	cacheMaxBytes := fs.Int64("cache-max-bytes", 0, "disk cache byte budget, oldest entries evicted first (0 = unbounded, needs -cache-dir)")
 	jsonOut := fs.Bool("json", false, "emit the serialized result schema (docs/API.md) instead of text")

@@ -24,8 +24,9 @@
 // At most -jobs analyses run concurrently; up to -max-queued more wait
 // for at most -queue-timeout before the server answers 503. Arrivals
 // beyond both bounds are rejected immediately with 429 and a
-// Retry-After hint. -intra-jobs > 1 additionally shards each admitted
-// analysis inside the binary (same output, more cores per request).
+// Retry-After hint. -intra-jobs > 1 additionally runs each admitted
+// analysis's independent units (xref candidates, FDEs, data chunks) on
+// a worker pool (same output, more cores per request).
 // -cache-dir persists results across restarts. Uploads stream to temp
 // files under -spool-dir (system temp dir by default) and are analyzed
 // file-backed, so accepting a large binary never buffers it on the
@@ -103,7 +104,7 @@ func run(args []string, errW io.Writer, ready chan<- string) error {
 	fs.SetOutput(errW)
 	addr := fs.String("addr", ":8421", "listen address")
 	jobs := fs.Int("jobs", 0, "max concurrent analyses (0 = one per CPU)")
-	intraJobs := fs.Int("intra-jobs", 0, "per-request intra-binary shard parallelism (≤1 = sequential)")
+	intraJobs := fs.Int("intra-jobs", 0, "per-request worker pool over xref candidates, FDEs and data chunks (≤1 = sequential)")
 	maxQueued := fs.Int("max-queued", 0, "max requests waiting for an analysis slot (0 = 4×jobs, negative = no queue)")
 	queueTimeout := fs.Duration("queue-timeout", 0, "max time a request may wait for a slot (0 = default)")
 	cacheEntries := fs.Int("cache-entries", 4096, "in-memory result cache capacity")

@@ -113,18 +113,10 @@ type Stats struct {
 	Truncated bool
 
 	// Jobs echoes the effective intra-binary parallelism (1 when
-	// sequential). ShardedPasses counts disassembly passes executed as
-	// sharded union walks, ShardFallbacks those whose exactness guards
-	// forced the sequential replay, MergeWall the total shard-merge
-	// time, and Shards the per-shard-slot work. All of these — like
-	// the decode counters and wall times — describe the execution, not
-	// the analysis result: jobs=N output is byte-identical to jobs=1
-	// (see StripSchedule).
-	Jobs           int
-	ShardedPasses  int
-	ShardFallbacks int
-	MergeWall      time.Duration
-	Shards         []ShardStat
+	// sequential). Like the decode counters and wall times it describes
+	// the execution, not the analysis result: jobs=N output is
+	// byte-identical to jobs=1 (see StripSchedule).
+	Jobs int
 
 	// DeltaPath reports that the result was served by function-granular
 	// delta re-analysis: the binary missed the whole-binary cache, but a
@@ -156,21 +148,9 @@ type Stats struct {
 	PeakAuxBytes   int64
 }
 
-// ShardStat is one shard slot's accumulated work across an analysis.
-type ShardStat struct {
-	// Seeds counts seed addresses assigned to the slot.
-	Seeds int
-	// InstsDecoded and InstsReused are the slot's decode-cache misses
-	// and hits.
-	InstsDecoded int64
-	InstsReused  int64
-	// Wall is the slot's total walk time.
-	Wall time.Duration
-}
-
 // StripSchedule returns a copy of the result with every
 // scheduling-dependent field zeroed: wall times, decode/probe/fork
-// traffic counters, and the shard trace. What remains — the detected
+// traffic counters, and the job count. What remains — the detected
 // starts, the corrections, and the deterministic pipeline counters
 // (extends, retracts, xref iterations, convergence, truncation) — is
 // identical for every Jobs value and every scheduler interleaving; the
@@ -187,10 +167,6 @@ func StripSchedule(r *Result) *Result {
 	cp.Stats.Forks = 0
 	cp.Stats.Probes = 0
 	cp.Stats.Jobs = 0
-	cp.Stats.ShardedPasses = 0
-	cp.Stats.ShardFallbacks = 0
-	cp.Stats.MergeWall = 0
-	cp.Stats.Shards = nil
 	cp.Stats.DeltaPath = false
 	cp.Stats.DeltaDirtyRanges = 0
 	cp.Stats.DeltaTotalRanges = 0
@@ -211,9 +187,10 @@ type Options struct {
 	// binaries: a hit returns the stored result without decoding, a
 	// miss stores the fresh result for the next caller.
 	Cache *Cache
-	// Jobs > 1 shards the analysis inside the binary: disassembly
-	// passes, non-return inference, pointer-candidate validation, and
-	// Algorithm 1's precomputations run on a worker pool of that size.
+	// Jobs > 1 runs the independent units inside one binary on a
+	// worker pool of that size: pointer-candidate validation,
+	// Algorithm 1's per-FDE precomputations, and the data-pointer
+	// index. The recursive disassembly fixed point stays sequential.
 	// Output is byte-identical for every value (only wall times and
 	// the scheduling-trace counters in Stats change), which is why the
 	// result cache keys on (binary, strategy) and ignores it. Values
@@ -256,7 +233,7 @@ func WithCache(c *Cache) Option {
 	return func(o *Options) { o.Cache = c }
 }
 
-// WithJobs sets the intra-binary shard parallelism (Options.Jobs).
+// WithJobs sets the intra-binary parallelism (Options.Jobs).
 func WithJobs(n int) Option {
 	return func(o *Options) { o.Jobs = n }
 }
@@ -297,7 +274,7 @@ func analyzeData(data []byte, o Options) (*Result, error) {
 // and DeltaEqualsCold checkers hold this equal (modulo the scheduling
 // trace, see StripSchedule) to a recomputation across every
 // adversarial profile. The cache key deliberately excludes Jobs:
-// sharded and sequential runs produce the same analysis, so either
+// parallel and sequential runs produce the same analysis, so either
 // may serve the other's entry (whose Stats then describe the run that
 // produced it).
 func analyzeCached(data []byte, o Options) (*Result, bool, error) {
@@ -427,19 +404,8 @@ func reportToResult(rep *core.Report) *Result {
 		XrefConverged:  rep.Stats.XrefConverged,
 		Truncated:      rep.Stats.Truncated,
 		Jobs:           rep.Stats.Jobs,
-		ShardedPasses:  rep.Stats.Disasm.ShardedPasses,
-		ShardFallbacks: rep.Stats.Disasm.ShardFallbacks,
-		MergeWall:      rep.Stats.Disasm.MergeWall,
 		PeakImageBytes: rep.Stats.PeakImageBytes,
 		PeakAuxBytes:   rep.Stats.PeakAuxBytes,
-	}
-	for _, sh := range rep.Stats.Disasm.Shards {
-		st.Shards = append(st.Shards, ShardStat{
-			Seeds:        sh.Seeds,
-			InstsDecoded: sh.InstsDecoded,
-			InstsReused:  sh.InstsReused,
-			Wall:         sh.Wall,
-		})
 	}
 	for _, ps := range rep.Stats.Passes {
 		st.Passes = append(st.Passes, PassStat{Name: ps.Name, Wall: ps.Wall})
@@ -474,7 +440,7 @@ type BatchOptions struct {
 	// sequential path exactly (it also does so for any other value —
 	// see AnalyzeBatch).
 	Jobs int
-	// IntraJobs sets each item's intra-binary shard parallelism
+	// IntraJobs sets each item's intra-binary parallelism
 	// (Options.Jobs), equivalent to appending WithJobs(IntraJobs) to
 	// Options (an explicit WithJobs there wins). A batch saturating
 	// its workers with Jobs rarely profits from IntraJobs > 1; a batch

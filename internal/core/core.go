@@ -41,12 +41,13 @@ const DefaultXrefIterBound = 64
 type Config struct {
 	// Strategy selects the pipeline stages.
 	Strategy Strategy
-	// Jobs > 1 enables intra-binary sharded analysis: committed
-	// disassembly passes, non-return inference, pointer-candidate
-	// validation, and Algorithm 1's precomputations run on a worker
-	// pool of that size. The Report is byte-identical for every value;
-	// only wall-clock time and the scheduling-trace counters in Stats
-	// change. Values ≤ 1 run fully sequentially.
+	// Jobs > 1 runs the independent units of one analysis on a worker
+	// pool of that size: pointer-candidate validation, Algorithm 1's
+	// per-FDE precomputations, and the data-pointer index chunks. The
+	// recursive fixed point itself is always sequential. The Report is
+	// byte-identical for every value; only wall-clock time and the
+	// scheduling-trace counters in Stats change. Values ≤ 1 run fully
+	// sequentially.
 	Jobs int
 	// XrefIterBound overrides DefaultXrefIterBound when positive.
 	XrefIterBound int
@@ -227,7 +228,7 @@ func AnalyzeRecorded(img *elfx.Image, cfg Config) (*Report, *Trace, error) {
 // function of the binary bytes, the Strategy, and the xref iteration
 // bound alone: Jobs redistributes the same work across goroutines
 // without changing any analysis output (the oracle's
-// ShardedEqualsSequential checker enforces this across every
+// CheckJobsEqualsSequential checker enforces this across every
 // adversarial shape), so result caches may key on (binary, strategy)
 // and ignore it.
 func AnalyzeConfig(img *elfx.Image, cfg Config) (*Report, error) {
@@ -314,7 +315,6 @@ func (p *pipeline) runRecursive() error {
 		seeds = append(seeds, p.img.Entry)
 	}
 	p.sess = disasm.NewSession(p.img, safeOpts())
-	p.sess.SetJobs(p.cfg.Jobs)
 	if p.rec != nil {
 		p.sess.SetExecObserver(p.rec)
 	}
@@ -350,11 +350,11 @@ func (p *pipeline) addFuncs(from map[uint64]bool) {
 
 // dataIndex lazily builds the data-section pointer index that answers
 // DataRefCount and candidate-collection queries in O(1) instead of
-// rescanning every data window per query (sharded runs build it on
-// the worker pool). The index is a pure restatement of the data
-// bytes, so using it never changes a result; the oracle's
-// sharded-equivalence sweep pins index-backed runs against the
-// scan-backed scratch reference.
+// rescanning every data window per query (Jobs > 1 builds it on the
+// worker pool). The index is a pure restatement of the data bytes, so
+// using it never changes a result; the oracle's session-equivalence
+// sweep pins index-backed runs against the scan-backed scratch
+// reference.
 func (p *pipeline) dataIndex() *xref.DataIndex {
 	if p.dataIdx == nil {
 		p.dataIdx = xref.NewDataIndex(p.img, p.cfg.Jobs)

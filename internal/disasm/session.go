@@ -1,8 +1,6 @@
 package disasm
 
 import (
-	"time"
-
 	"fetch/internal/arch"
 	"fetch/internal/elfx"
 )
@@ -32,27 +30,10 @@ type Stats struct {
 	Probes int
 	// FixedPointPasses counts individual recursive-descent passes,
 	// including the inner iterations of the non-returning fixed point
-	// and probe walks. A sharded committed pass counts once, like the
-	// sequential pass it replaces, but parallel candidate validation
-	// probes a superset of the sequential loop's, so the total is a
-	// scheduling trace like Probes and Forks.
+	// and probe walks. Parallel candidate validation probes a superset
+	// of the sequential loop's, so the total is a scheduling trace like
+	// Probes and Forks.
 	FixedPointPasses int
-
-	// ShardedPasses counts committed passes executed by the sharded
-	// union walk (Session.SetJobs > 1); ShardFallbacks counts sharded
-	// attempts whose exactness guards tripped, forcing the sequential
-	// replay. Fallbacks are a performance event, never a correctness
-	// one: both paths produce identical results.
-	ShardedPasses  int
-	ShardFallbacks int
-	// MergeWall is the total wall time spent in the deterministic
-	// shard-merge step (including guard evaluation).
-	MergeWall time.Duration
-	// Shards aggregates per-shard-slot work across all sharded passes.
-	// Like the decode counters, shard counters are an execution trace:
-	// they depend on scheduling and on the shard count, never on the
-	// analysis result.
-	Shards []ShardStat
 
 	// PeakAuxBytes is the high-water accounted estimate of one pass's
 	// auxiliary memory: owner-index chunk allocations plus the decode
@@ -83,28 +64,6 @@ func (s *Session) notePassMem(res *Result) {
 	}
 }
 
-// ShardStat is the accumulated work of one shard slot across every
-// sharded pass of a session.
-type ShardStat struct {
-	// Seeds counts seed addresses assigned to the slot.
-	Seeds int
-	// InstsDecoded and InstsReused are the slot's decode-cache misses
-	// and hits (hits include entries served from the parent session's
-	// cache).
-	InstsDecoded int64
-	InstsReused  int64
-	// Wall is the slot's total walk time.
-	Wall time.Duration
-}
-
-// add accumulates one sharded pass's slot work.
-func (s *ShardStat) add(other ShardStat) {
-	s.Seeds += other.Seeds
-	s.InstsDecoded += other.InstsDecoded
-	s.InstsReused += other.InstsReused
-	s.Wall += other.Wall
-}
-
 // Add accumulates other into s.
 func (s *Stats) Add(other Stats) {
 	s.InstsDecoded += other.InstsDecoded
@@ -116,15 +75,6 @@ func (s *Stats) Add(other Stats) {
 	s.Forks += other.Forks
 	s.Probes += other.Probes
 	s.FixedPointPasses += other.FixedPointPasses
-	s.ShardedPasses += other.ShardedPasses
-	s.ShardFallbacks += other.ShardFallbacks
-	s.MergeWall += other.MergeWall
-	for k, sh := range other.Shards {
-		for len(s.Shards) <= k {
-			s.Shards = append(s.Shards, ShardStat{})
-		}
-		s.Shards[k].add(sh)
-	}
 	// A high-water mark merges by max: forks ran against the same
 	// budget, not after each other.
 	if other.PeakAuxBytes > s.PeakAuxBytes {
@@ -169,8 +119,8 @@ type decodeEntry struct {
 // are reused.
 //
 // A Session is not safe for concurrent use; analyze each binary's
-// session from a single goroutine (the batch layer parallelizes across
-// binaries, never within one).
+// session from a single goroutine. Concurrent work within one binary
+// goes through ParallelFork/Absorb.
 type Session struct {
 	img   *elfx.Image
 	isa   arch.ISA
@@ -179,25 +129,10 @@ type Session struct {
 	stats *Stats
 	seeds []uint64
 	res   *Result
-	// jobs > 1 enables the sharded committed passes (SetJobs).
-	jobs int
-	// warm is a read-only fallback decode cache (a parent session's
-	// cache, shared by shard walkers and parallel probe forks). Entries
-	// found here are never copied into cache: the parent already owns
-	// them.
+	// warm is a read-only fallback decode cache (the parent session's
+	// cache, shared by parallel probe forks). Entries found here are
+	// never copied into cache: the parent already owns them.
 	warm map[uint64]decodeEntry
-	// claim, when set, arbitrates work-item ownership between
-	// concurrent shard walkers: push only explores an address when
-	// claim returns true (some other shard explores it otherwise).
-	claim func(uint64) bool
-	// claims, subs, lastUnion, and sizeHint are the sharded-pass
-	// scratch state: the reusable claim table, the per-slot shard
-	// sub-sessions, the previous pass's union size (the allocation
-	// hint for the next), and the per-walk result-map size hint.
-	claims    *claimTable
-	subs      []*Session
-	lastUnion int64
-	sizeHint  int
 	// ownerProto is the executable-section layout (sorted by base) the
 	// dense owner index is allocated from.
 	ownerProto []struct {
@@ -274,8 +209,7 @@ func (s *Session) newOwner(opts Options) ownerMap {
 // parent and vice versa — decodes are pure, so this is safe), while
 // the committed seed list and result are the fork's own. Use a fork to
 // probe speculative decodes, e.g. §IV-E candidate validation, without
-// corrupting the main state. A fork is serial like its parent; it
-// never inherits the parent's shard parallelism.
+// corrupting the main state. A fork is serial like its parent.
 func (s *Session) Fork() *Session {
 	s.stats.Forks++
 	return &Session{
@@ -328,13 +262,12 @@ func (s *Session) Absorb(f *Session) {
 	s.stats.FixedPointPasses += f.stats.FixedPointPasses
 }
 
-// SetJobs sets the session's intra-binary parallelism: when n > 1,
-// committed passes (Extend, Retract, Rerun) run as n concurrent shard
-// walks merged deterministically, falling back to the sequential walk
-// whenever an exactness guard cannot prove the merged result equal to
-// it. Results are byte-identical for every n; only wall-clock time and
-// the scheduling-trace counters in Stats change.
-func (s *Session) SetJobs(n int) { s.jobs = n }
+// SetJobs does nothing: committed passes always run the sequential
+// fixed point.
+//
+// Deprecated: parallelism within one binary lives in the callers
+// (ParallelFork probes, per-FDE precompute, data-index chunks).
+func (s *Session) SetJobs(int) {}
 
 // Result returns the current committed result (nil before the first
 // Extend/Rerun).
@@ -411,23 +344,21 @@ func (s *Session) Probe(seeds []uint64, opts Options) *Result {
 // exec runs the full Recursive fixed point from the given seeds with
 // cached decoding. Knowledge always restarts from empty so the
 // iteration trajectory — and therefore the result — matches a
-// from-scratch run exactly. With SetJobs > 1 each pass and each
-// non-return inference dispatches to its parallel variant; both are
-// result-identical to the sequential forms, so the trajectory — and
-// the result — is independent of the job count.
+// from-scratch run exactly.
 func (s *Session) exec(seeds []uint64, opts Options) *Result {
 	nonRet := map[uint64]bool{}
 	condNonRet := map[uint64]bool{}
 	var res *Result
 	for iter := 0; iter < 6; iter++ {
-		res = s.runPass(seeds, opts, nonRet, condNonRet)
+		res = s.pass(seeds, opts, nonRet, condNonRet)
+		s.notePassMem(res)
 		if s.observing && s.obs != nil {
 			s.obs.OnPass(nonRet, condNonRet, res)
 		}
 		if !opts.NonReturning {
 			return res
 		}
-		newNonRet, newCond := s.runInfer(res)
+		newNonRet, newCond := inferNonReturning(res)
 		if setsEqual(newNonRet, nonRet) && setsEqual(newCond, condNonRet) {
 			break
 		}
@@ -441,8 +372,8 @@ func (s *Session) exec(seeds []uint64, opts Options) *Result {
 // decode memoizes the pure part of instruction decoding: the section
 // window fetch and the x64 decode at addr.
 func (s *Session) decode(addr uint64) decodeEntry {
-	// Warm first: in a shard walker's steady state (every pass after
-	// the first) the parent cache holds nearly every decode.
+	// Warm first: a parallel fork finds most decodes in its parent's
+	// cache.
 	if e, ok := s.warm[addr]; ok {
 		s.stats.InstsReused++
 		return e
@@ -481,10 +412,10 @@ func (s *Session) pass(seeds []uint64, opts Options,
 	img := s.img
 	res := &Result{
 		isa:        s.isa,
-		Insts:      make(map[uint64]*arch.Inst, s.sizeHint),
-		Funcs:      make(map[uint64]bool, s.sizeHint/8),
-		Refs:       make(map[uint64][]uint64, s.sizeHint/8),
-		Constants:  make(map[uint64]bool, s.sizeHint/8),
+		Insts:      make(map[uint64]*arch.Inst),
+		Funcs:      make(map[uint64]bool),
+		Refs:       make(map[uint64][]uint64),
+		Constants:  make(map[uint64]bool),
 		NonRet:     nonRet,
 		CondNonRet: condNonRet,
 		JTTargets:  make(map[uint64][]uint64),
@@ -534,13 +465,6 @@ func (s *Session) pass(seeds []uint64, opts Options,
 		rdi := item.rdi
 
 		for {
-			// Under a shard claim, the first walker to claim an address
-			// decodes it and continues the run; the others stop here and
-			// leave the rest of the run to the claimer, so the union of
-			// the walks is the full closure with almost no duplication.
-			if s.claim != nil && !s.claim(addr) {
-				break
-			}
 			if opts.MaxInsts > 0 && len(res.Insts) >= opts.MaxInsts {
 				return res
 			}
@@ -549,8 +473,7 @@ func (s *Session) pass(seeds []uint64, opts Options,
 			}
 			if owner, mid := res.owner.get(addr); mid && owner != addr {
 				// The walk's only order-sensitive rule: record that it
-				// fired so a sharded pass knows its union may diverge
-				// from the sequential walk.
+				// fired so delta re-analysis refuses to reuse this walk.
 				res.sawMid = true
 				strictErr(ErrMidInstruction, addr)
 				break
@@ -646,13 +569,6 @@ func (s *Session) pass(seeds []uint64, opts Options,
 						if m, ok := in.IndirectMem(); ok && m.Disp > 0 {
 							res.TableBases[uint64(m.Disp)] = true
 						}
-					} else if s.claim != nil {
-						// Shard walkers record unresolved indirect jumps
-						// as explicit nil entries so the merge guard can
-						// audit every resolution this walker made. Only
-						// internal shard results carry these; the merge
-						// rebuilds the public map without them.
-						res.JTTargets[in.Addr] = nil
 					}
 					for _, t := range targets {
 						addRef(t, in.Addr)

@@ -40,9 +40,10 @@ type File struct {
 	data []byte
 
 	mu sync.Mutex
-	// refs counts reasons the mapping must stay alive: 1 for the open
-	// file itself plus one per outstanding Window. The mapping is
-	// released exactly when the count reaches zero.
+	// refs counts reasons the descriptor and mapping must stay alive:
+	// 1 for the open file itself plus one per outstanding Window or
+	// in-progress ReadAt. Both are released exactly when the count
+	// reaches zero.
 	refs   int
 	closed bool
 }
@@ -98,8 +99,9 @@ func (f *File) Mapped() bool {
 // size: reading past it returns io.EOF (short read), and a file
 // truncated underneath surfaces the same way — an error, never stale
 // or corrupt bytes presented as valid. ReadAt fails with ErrClosed
-// after Close.
-func (f *File) ReadAt(p []byte, off int64) (int, error) {
+// after Close. A ReadAt that releases the last reference after a
+// concurrent Close reports the descriptor's close error, if any.
+func (f *File) ReadAt(p []byte, off int64) (n int, err error) {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
@@ -110,7 +112,11 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	// invalidate the descriptor mid-pread.
 	f.refs++
 	f.mu.Unlock()
-	defer f.unref()
+	defer func() {
+		if cerr := f.unref(); err == nil {
+			err = cerr
+		}
+	}()
 
 	if off < 0 {
 		return 0, fmt.Errorf("mmapfile: negative offset %d", off)
@@ -123,7 +129,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		p = p[:max]
 		short = true
 	}
-	n, err := osf.ReadAt(p, off)
+	n, err = osf.ReadAt(p, off)
 	if err == nil && short {
 		err = io.EOF
 	}
@@ -154,10 +160,12 @@ func (f *File) Window(off, n int64) (*Window, error) {
 	return &Window{f: f, b: f.data[off : off+n : off+n]}, nil
 }
 
-// Close releases the file: the descriptor is closed immediately, new
-// ReadAt/Window calls fail with ErrClosed, and the mapping is released
-// once the last outstanding Window is closed. Close never invalidates
-// bytes a live Window can still see, and closing twice is a no-op.
+// Close releases the file: new ReadAt/Window calls fail with
+// ErrClosed at once, and the descriptor and mapping are released once
+// the last in-progress ReadAt returns and the last outstanding Window
+// is closed. Close never invalidates bytes a live Window can still
+// see, and closing twice is a no-op. The descriptor's close error is
+// returned by whichever call releases it.
 func (f *File) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -165,25 +173,26 @@ func (f *File) Close() error {
 		return nil
 	}
 	f.closed = true
-	err := f.f.Close()
 	f.mu.Unlock()
-	f.unref()
-	return err
+	return f.unref()
 }
 
-// unref drops one mapping reference, unmapping at zero.
-func (f *File) unref() {
+// unref drops one reference; at zero it unmaps the file and closes the
+// descriptor, returning the close error.
+func (f *File) unref() error {
 	f.mu.Lock()
 	f.refs--
-	release := f.refs == 0 && f.data != nil
-	data := f.data
-	if release {
-		f.data = nil
+	if f.refs > 0 {
+		f.mu.Unlock()
+		return nil
 	}
+	data := f.data
+	f.data = nil
 	f.mu.Unlock()
-	if release {
+	if data != nil {
 		unmapFile(data)
 	}
+	return f.f.Close()
 }
 
 // Window is one reference-counted zero-copy view of a mapped file.
@@ -203,13 +212,15 @@ func (w *Window) Bytes() []byte {
 }
 
 // Close releases the window's reference on the mapping; closing twice
-// is a no-op.
-func (w *Window) Close() {
+// is a no-op. When the file was already closed and this was the last
+// reference, Close returns the descriptor's close error.
+func (w *Window) Close() error {
 	w.mu.Lock()
 	released := w.b != nil
 	w.b = nil
 	w.mu.Unlock()
 	if released {
-		w.f.unref()
+		return w.f.unref()
 	}
+	return nil
 }

@@ -4,51 +4,49 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"sort"
 
 	"fetch"
 	"fetch/internal/core"
 	"fetch/internal/elfx"
 )
 
-// shardJobsMatrix is the intra-binary worker counts the sharding
-// checker sweeps against the sequential reference: an even split, an
-// odd split (seed partitions of unequal size), and an oversubscribed
-// one (more shards than cores).
-var shardJobsMatrix = []int{2, 3, 8}
+// jobsMatrix is the intra-binary worker counts the jobs checker sweeps
+// against the sequential reference: an even split, an odd split
+// (work partitions of unequal size), and an oversubscribed one (more
+// workers than cores).
+var jobsMatrix = []int{2, 3, 8}
 
-// CheckShardedEqualsSequential asserts the tentpole contract of
-// intra-binary sharding: for every strategy and every worker count,
+// CheckJobsEqualsSequential asserts the contract of intra-binary
+// parallelism: for every strategy and every worker count,
 // core.AnalyzeConfig produces a Report whose analysis content is
 // byte-identical to the sequential run — function sets, every
-// correction list, the full disassembly state (references compared as
-// per-target multisets: the sharded merge emits a canonical sorted
-// order), and the deterministic pipeline counters (xref iterations,
-// convergence, truncation). At the public API level, the codec
-// encodings of jobs=N and jobs=1 results must be byte-identical after
-// StripSchedule removes the execution trace (wall times, decode
-// traffic, shard counters).
-func CheckShardedEqualsSequential(shape string, img *elfx.Image, raw []byte) []Violation {
+// correction list, the full disassembly state (references in exact
+// per-target order), and the deterministic pipeline counters (xref
+// iterations, convergence, truncation). At the public API level, the
+// codec encodings of jobs=N and jobs=1 results must be byte-identical
+// after StripSchedule removes the execution trace (wall times, decode
+// traffic, the job count).
+func CheckJobsEqualsSequential(shape string, img *elfx.Image, raw []byte) []Violation {
 	var vs []Violation
 	for _, strat := range core.AllStrategies() {
 		seq, err := core.AnalyzeConfig(img, core.Config{Strategy: strat, Jobs: 1})
 		if err != nil {
-			vs = append(vs, Violation{shape, strat, "sharded-equivalence", "jobs=1: " + err.Error()})
+			vs = append(vs, Violation{shape, strat, "jobs-equivalence", "jobs=1: " + err.Error()})
 			continue
 		}
-		for _, jobs := range shardJobsMatrix {
+		for _, jobs := range jobsMatrix {
 			par, err := core.AnalyzeConfig(img, core.Config{Strategy: strat, Jobs: jobs})
 			if err != nil {
-				vs = append(vs, Violation{shape, strat, "sharded-equivalence",
+				vs = append(vs, Violation{shape, strat, "jobs-equivalence",
 					fmt.Sprintf("jobs=%d: %v", jobs, err)})
 				continue
 			}
 			for _, d := range DiffReports(shape, strat, par, seq) {
-				d.Invariant = "sharded-equivalence"
+				d.Invariant = "jobs-equivalence"
 				d.Detail = fmt.Sprintf("jobs=%d vs jobs=1: %s", jobs, d.Detail)
 				vs = append(vs, d)
 			}
-			vs = append(vs, diffShardExtras(shape, strat, jobs, par, seq)...)
+			vs = append(vs, diffJobsExtras(shape, strat, jobs, par, seq)...)
 		}
 	}
 
@@ -56,45 +54,45 @@ func CheckShardedEqualsSequential(shape string, img *elfx.Image, raw []byte) []V
 	// format and the cache's stored form) must not differ either.
 	seqRes, err := fetch.Analyze(raw, fetch.WithJobs(1))
 	if err != nil {
-		return append(vs, Violation{shape, core.FETCH, "sharded-codec", "jobs=1: " + err.Error()})
+		return append(vs, Violation{shape, core.FETCH, "jobs-codec", "jobs=1: " + err.Error()})
 	}
 	seqBlob, err := fetch.EncodeResult(fetch.StripSchedule(seqRes))
 	if err != nil {
-		return append(vs, Violation{shape, core.FETCH, "sharded-codec", "encode jobs=1: " + err.Error()})
+		return append(vs, Violation{shape, core.FETCH, "jobs-codec", "encode jobs=1: " + err.Error()})
 	}
-	for _, jobs := range shardJobsMatrix {
+	for _, jobs := range jobsMatrix {
 		parRes, err := fetch.Analyze(raw, fetch.WithJobs(jobs))
 		if err != nil {
-			vs = append(vs, Violation{shape, core.FETCH, "sharded-codec",
+			vs = append(vs, Violation{shape, core.FETCH, "jobs-codec",
 				fmt.Sprintf("jobs=%d: %v", jobs, err)})
 			continue
 		}
 		parBlob, err := fetch.EncodeResult(fetch.StripSchedule(parRes))
 		if err != nil {
-			vs = append(vs, Violation{shape, core.FETCH, "sharded-codec",
+			vs = append(vs, Violation{shape, core.FETCH, "jobs-codec",
 				fmt.Sprintf("encode jobs=%d: %v", jobs, err)})
 			continue
 		}
 		if !bytes.Equal(parBlob, seqBlob) {
-			vs = append(vs, Violation{shape, core.FETCH, "sharded-codec",
+			vs = append(vs, Violation{shape, core.FETCH, "jobs-codec",
 				fmt.Sprintf("schema encoding differs between jobs=%d and jobs=1 after StripSchedule", jobs)})
 		}
 	}
 	return vs
 }
 
-// diffShardExtras covers the deterministic fields DiffReports leaves
-// to the session-equivalence contract: reference multisets, harvested
+// diffJobsExtras covers the deterministic fields DiffReports leaves
+// to the session-equivalence contract: references, harvested
 // constants, and the jobs-invariant stats.
-func diffShardExtras(shape string, strat core.Strategy, jobs int, par, seq *core.Report) []Violation {
+func diffJobsExtras(shape string, strat core.Strategy, jobs int, par, seq *core.Report) []Violation {
 	var vs []Violation
 	add := func(format string, args ...any) {
-		vs = append(vs, Violation{shape, strat, "sharded-equivalence",
+		vs = append(vs, Violation{shape, strat, "jobs-equivalence",
 			fmt.Sprintf("jobs=%d vs jobs=1: %s", jobs, fmt.Sprintf(format, args...))})
 	}
 	if par.Res != nil && seq.Res != nil {
-		if !reflect.DeepEqual(sortedRefs(par.Res.Refs), sortedRefs(seq.Res.Refs)) {
-			add("reference multisets differ")
+		if !reflect.DeepEqual(par.Res.Refs, seq.Res.Refs) {
+			add("references differ")
 		}
 		if !reflect.DeepEqual(par.Res.Constants, seq.Res.Constants) {
 			add("harvested constants differ")
@@ -126,19 +124,6 @@ func diffShardExtras(shape string, strat core.Strategy, jobs int, par, seq *core
 		add("pass lists differ: %d vs %d", len(ps.Passes), len(ss.Passes))
 	}
 	return vs
-}
-
-// sortedRefs renders a reference map with each per-target list sorted,
-// so the sequential walk's discovery order and the sharded merge's
-// canonical order compare as multisets.
-func sortedRefs(refs map[uint64][]uint64) map[uint64][]uint64 {
-	out := make(map[uint64][]uint64, len(refs))
-	for t, l := range refs {
-		c := append([]uint64(nil), l...)
-		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-		out[t] = c
-	}
-	return out
 }
 
 // CheckConvergence asserts the xref fixed point genuinely converged:

@@ -13,14 +13,13 @@ import (
 	"fetch/internal/synth"
 )
 
-// TestShardMatrixDeterminism is the satellite determinism matrix: every
+// TestJobsMatrixDeterminism is the determinism matrix: every
 // adversarial profile × the full strategy matrix × jobs ∈ {1,2,4,8}
-// must produce reports DeepEqual to the sequential run (references
-// compared as multisets), with no goroutine leaked by the worker
-// pools. Run under -race in CI, this is the widest net over the
-// sharded walker, the claim table, the merge guards, and the parallel
-// inference and validation stages.
-func TestShardMatrixDeterminism(t *testing.T) {
+// must produce reports DeepEqual to the sequential run (references in
+// exact order), with no goroutine leaked by the worker pools. Run
+// under -race in CI, this is the widest net over the parallel
+// candidate validation, per-FDE precompute, and data-index stages.
+func TestJobsMatrixDeterminism(t *testing.T) {
 	before := runtime.NumGoroutine()
 	jobsMatrix := []int{1, 2, 4, 8}
 	for _, prof := range synth.ProfileNames() {
@@ -55,8 +54,8 @@ func TestShardMatrixDeterminism(t *testing.T) {
 					t.Errorf("%s: function sets differ", name)
 				}
 				if rep.Res != nil && ref.Res != nil &&
-					!reflect.DeepEqual(sortedRefs(rep.Res.Refs), sortedRefs(ref.Res.Refs)) {
-					t.Errorf("%s: reference multisets differ", name)
+					!reflect.DeepEqual(rep.Res.Refs, ref.Res.Refs) {
+					t.Errorf("%s: references differ", name)
 				}
 			}
 		}

@@ -73,7 +73,7 @@ type Config struct {
 	// a temp file under SpoolDir (hashed on the way through) and the
 	// analysis runs file-backed against it. Empty selects os.TempDir().
 	SpoolDir string
-	// IntraJobs sets each analysis's intra-binary shard parallelism
+	// IntraJobs sets each analysis's intra-binary parallelism
 	// (fetch.Options.Jobs). The in-flight bound still caps the number
 	// of concurrent analyses; IntraJobs multiplies the worker
 	// goroutines each admitted analysis may use, so a deployment
@@ -218,7 +218,7 @@ func (s *Server) MaxUploadBytes() int64 { return s.maxUpload }
 // SpoolDir returns the resolved upload spool directory.
 func (s *Server) SpoolDir() string { return s.spoolDir }
 
-// IntraJobs returns the configured per-analysis shard parallelism
+// IntraJobs returns the configured per-analysis parallelism
 // (≤ 1 means sequential).
 func (s *Server) IntraJobs() int { return s.intraJobs }
 

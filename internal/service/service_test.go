@@ -31,11 +31,19 @@ func sampleELF(t testing.TB, seed int64) []byte {
 // newTestServer builds a Server plus its httptest front end.
 func newTestServer(t *testing.T, maxInFlight int) (*Server, *httptest.Server) {
 	t.Helper()
+	return newTestServerConfig(t, Config{MaxInFlight: maxInFlight})
+}
+
+// newTestServerConfig is newTestServer with the full Config; it
+// supplies the cache.
+func newTestServerConfig(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
 	cache, err := fetch.NewCache(fetch.CacheConfig{MaxEntries: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New(Config{Cache: cache, MaxInFlight: maxInFlight})
+	cfg.Cache = cache
+	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,10 +303,11 @@ func TestMethodDiscipline(t *testing.T) {
 
 // TestBoundedInFlight drives many concurrent distinct uploads through
 // a MaxInFlight=1 server and asserts the high-water mark of concurrent
-// analyses never exceeded the bound.
+// analyses never exceeded the bound. The queue holds every upload but
+// the running one, so none is rejected 429 by admission control.
 func TestBoundedInFlight(t *testing.T) {
-	svc, ts := newTestServer(t, 1)
 	const n = 6
+	svc, ts := newTestServerConfig(t, Config{MaxInFlight: 1, MaxQueued: n - 1})
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {

@@ -129,7 +129,7 @@ func Run(in Input) Output {
 	isa := in.Img.ISA()
 	cfiSP, cfiEntry := isa.CFISPReg(), isa.CFIEntryOffset()
 
-	// Sharded runs precompute the two pure per-FDE quantities the
+	// Jobs > 1 precomputes the two pure per-FDE quantities the
 	// sequential loops below consume — entry-convention verdicts and
 	// CFI height tables — on the worker pool. The loops themselves
 	// stay sequential (and identical) either way.

@@ -67,7 +67,7 @@ func candidates(img *elfx.Image, res *disasm.Result, ix *DataIndex) []uint64 {
 // eight-byte windows, restricted to values landing in executable code:
 // per-value occurrence counts (DataRefCount's hot query — reference
 // evidence for code addresses) and the sorted distinct values (the
-// data half of Candidates). Sharded runs build one per binary so
+// data half of Candidates). The pipeline builds one per binary so
 // reference-count queries stop rescanning every window. The
 // restriction bounds the index by the executable address range rather
 // than the data size (a distinct-window-count index would be O(data));
