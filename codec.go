@@ -31,7 +31,11 @@ import (
 // Version 5 removed the sharding trace (stats.sharded_passes,
 // stats.shard_fallbacks, stats.merge_wall_ns, stats.shards): the
 // recursive fixed point no longer runs sharded. stats.jobs stays.
-const ResultSchemaVersion = 5
+//
+// Version 6 changed what stats.peak_aux_bytes accounts: the decode
+// cache's offset index chunks and slab entries, and probe owners by
+// the bytes they cover. The key set is unchanged.
+const ResultSchemaVersion = 6
 
 // hexAddr serializes a code address as a 0x-prefixed hex string. JSON
 // numbers are IEEE-754 doubles in most consumers, which silently

@@ -133,7 +133,7 @@ func TestCodecGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "result_v5.golden.json")
+	golden := filepath.Join("testdata", "result_v6.golden.json")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

@@ -109,13 +109,13 @@ type Result struct {
 
 // Covered reports whether addr lies inside any decoded instruction.
 func (r *Result) Covered(addr uint64) bool {
-	_, ok := r.owner.get(addr)
+	_, ok := r.ownerAt(addr)
 	return ok
 }
 
 // InstStartAt returns the start of the instruction covering addr.
 func (r *Result) InstStartAt(addr uint64) (uint64, bool) {
-	return r.owner.get(addr)
+	return r.ownerAt(addr)
 }
 
 // TableReads returns the data intervals consulted by jump-table

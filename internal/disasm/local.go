@@ -234,8 +234,10 @@ func (s *Session) WalkLocal(rng FuncRange, entries []uint64,
 		CondNonRet: condNonRet,
 		JTTargets:  make(map[uint64][]uint64),
 		TableBases: make(map[uint64]bool),
-		owner:      ownerMap{m: make(map[uint64]uint64)},
+		// Range-bounded like a capped probe: pooled scratch.
+		owner: s.owners.newOwner(true),
 	}
+	defer res.owner.release()
 	inRange := func(a uint64) bool { return a >= rng.Start && a < rng.End }
 
 	type workItem struct {

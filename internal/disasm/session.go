@@ -36,30 +36,31 @@ type Stats struct {
 	FixedPointPasses int
 
 	// PeakAuxBytes is the high-water accounted estimate of one pass's
-	// auxiliary memory: owner-index chunk allocations plus the decode
-	// cache and sparse-owner entries at documented per-entry costs. It
-	// is an accounting of data-structure growth (deterministic for a
-	// given call sequence), not a heap measurement; like the decode
-	// counters it is an execution trace, so StripSchedule zeroes it.
+	// auxiliary memory: the pass's owner index (dense chunks as
+	// allocated; sparse entries and probe-covered bytes at
+	// sparseOwnerCost) plus the decode cache (index chunks as
+	// allocated, entries at decodeEntryCost). It is an accounting of
+	// data-structure growth (deterministic for a given call sequence),
+	// not a heap measurement; like the decode counters it is an
+	// execution trace, so StripSchedule zeroes it.
 	PeakAuxBytes int64
 }
 
-// Accounted per-entry costs behind PeakAuxBytes: a decode-cache entry
-// is a map slot plus a heap arch.Inst; a sparse-owner entry is one
-// uint64→uint64 map slot.
+// Accounted per-entry costs behind PeakAuxBytes. A decode-cache entry
+// is a 48-byte decodeEntry (a slab slot, or the value of an extra-map
+// slot) plus its heap arch.Inst in the 80-byte size class; operand and
+// constant slices are not counted. A sparse-owner entry is one
+// uint64→uint64 map slot; a probe walk is charged the same per byte it
+// covers, whichever pooled scratch it ran on.
 const (
-	decodeEntryCost = 160
+	decodeEntryCost = 128
 	sparseOwnerCost = 16
 )
 
 // notePassMem folds one finished pass's data-structure footprint into
 // the PeakAuxBytes high-water mark.
 func (s *Session) notePassMem(res *Result) {
-	aux := res.owner.alloc + int64(len(s.cache))*decodeEntryCost
-	if res.owner.m != nil {
-		aux += int64(len(res.owner.m)) * sparseOwnerCost
-	}
-	if aux > s.stats.PeakAuxBytes {
+	if aux := res.owner.accounted() + s.cache.accounted(); aux > s.stats.PeakAuxBytes {
 		s.stats.PeakAuxBytes = aux
 	}
 }
@@ -109,14 +110,20 @@ type decodeEntry struct {
 }
 
 // Session owns the reusable disassembly state of one binary: the
-// persistent instruction-decode cache, the committed seed list, and
-// the current Result. It supports incremental re-analysis — Extend
-// explores additional seeds, Retract removes seeds (the §V-B CFI-error
-// re-analysis), Rerun replaces the seed list — while guaranteeing
-// results byte-identical to a from-scratch Recursive run over the same
-// final seed list: every walk replays the full fixed point in the same
-// order, and only the per-address decodes (pure in the image bytes)
-// are reused.
+// persistent instruction-decode cache, the pool of probe owner
+// scratch, the committed seed list, and the current Result. It
+// supports incremental re-analysis — Extend explores additional seeds,
+// Retract removes seeds (the §V-B CFI-error re-analysis), Rerun
+// replaces the seed list — while guaranteeing results byte-identical
+// to a from-scratch Recursive run over the same final seed list: every
+// walk replays the full fixed point in the same order, and only the
+// per-address decodes (pure in the image bytes) are reused.
+//
+// Both hot-path structures are offset-indexed arrays over the
+// executable sections rather than hash maps: the decode cache is
+// looked up once per visited instruction and the owner index written
+// once per instruction byte, and at a few hundred thousand entries map
+// lookups were the walk's main cost.
 //
 // A Session is not safe for concurrent use; analyze each binary's
 // session from a single goroutine. Concurrent work within one binary
@@ -125,20 +132,17 @@ type Session struct {
 	img   *elfx.Image
 	isa   arch.ISA
 	opts  Options
-	cache map[uint64]decodeEntry
+	cache *decodeCache
 	stats *Stats
 	seeds []uint64
 	res   *Result
 	// warm is a read-only fallback decode cache (the parent session's
 	// cache, shared by parallel probe forks). Entries found here are
 	// never copied into cache: the parent already owns them.
-	warm map[uint64]decodeEntry
-	// ownerProto is the executable-section layout (sorted by base) the
-	// dense owner index is allocated from.
-	ownerProto []struct {
-		base uint64
-		size int
-	}
+	warm *decodeCache
+	// owners holds the executable-section layout and the dense scratch
+	// owners capped walks borrow; every fork shares it.
+	owners *ownerPool
 	// obs, when set, observes every committed pass (Extend, Retract,
 	// Rerun); probes and forks never report. observing gates the hook to
 	// committed exec calls only.
@@ -163,45 +167,18 @@ func (s *Session) SetExecObserver(o ExecObserver) { s.obs = o }
 // options used by Extend, Retract, and Rerun. Probe takes its own
 // options per call.
 func NewSession(img *elfx.Image, opts Options) *Session {
-	s := &Session{
-		img:   img,
-		isa:   img.ISA(),
-		opts:  opts,
-		cache: make(map[uint64]decodeEntry),
-		stats: &Stats{ColdStarts: 1},
-	}
+	var layout []secExtent
 	for _, sec := range img.ExecSections() {
-		s.ownerProto = append(s.ownerProto, struct {
-			base uint64
-			size int
-		}{sec.Addr, int(sec.Size())})
+		layout = append(layout, secExtent{sec.Addr, int(sec.Size())})
 	}
-	return s
-}
-
-// maxDenseOwnerSection bounds the dense owner representation: offsets
-// are stored as int32(offset)+1, so sections at or beyond 2 GiB must
-// use the sparse map to avoid wrap-around.
-const maxDenseOwnerSection = 1 << 31
-
-// newOwner picks the owner representation for one pass: dense arrays
-// for unbounded re-walks, a sparse map for short capped probes (where
-// clearing text-sized arrays would dominate) and for images whose
-// sections exceed the dense offset range.
-func (s *Session) newOwner(opts Options) ownerMap {
-	if opts.MaxInsts > 0 {
-		return ownerMap{m: make(map[uint64]uint64)}
+	return &Session{
+		img:    img,
+		isa:    img.ISA(),
+		opts:   opts,
+		cache:  newDecodeCache(layout),
+		stats:  &Stats{ColdStarts: 1},
+		owners: newOwnerPool(layout),
 	}
-	for _, p := range s.ownerProto {
-		if p.size >= maxDenseOwnerSection {
-			return ownerMap{m: make(map[uint64]uint64)}
-		}
-	}
-	spans := make([]ownerSpan, len(s.ownerProto))
-	for i, p := range s.ownerProto {
-		spans[i] = newOwnerSpan(p.base, p.size)
-	}
-	return ownerMap{spans: spans}
 }
 
 // Fork returns a cheap copy-on-write view of the session: the decode
@@ -213,23 +190,26 @@ func (s *Session) newOwner(opts Options) ownerMap {
 func (s *Session) Fork() *Session {
 	s.stats.Forks++
 	return &Session{
-		img:   s.img,
-		isa:   s.isa,
-		opts:  s.opts,
-		cache: s.cache,
-		stats: s.stats,
-		warm:  s.warm,
-		seeds: append([]uint64(nil), s.seeds...),
-		res:   s.res,
+		img:    s.img,
+		isa:    s.isa,
+		opts:   s.opts,
+		cache:  s.cache,
+		stats:  s.stats,
+		warm:   s.warm,
+		owners: s.owners,
+		seeds:  append([]uint64(nil), s.seeds...),
+		res:    s.res,
 	}
 }
 
 // ParallelFork returns a fork that is safe to use concurrently with
 // other ParallelForks of the same session: it reads the parent's
 // decode cache as an immutable warm store and writes new decodes to a
-// private overlay, with private counters. The parent session must stay
-// idle while parallel forks run; afterwards, Absorb folds each fork's
-// overlay and counters back into the parent. Decode entries are pure
+// private map overlay (no dense index per fork), with private
+// counters; capped walks borrow owner scratch from the shared pool.
+// The parent session must stay idle while parallel forks run;
+// afterwards, Absorb folds each fork's overlay and counters back into
+// the parent. Decode entries are pure
 // functions of the image bytes, so the overlay merge order never
 // affects content.
 func (s *Session) ParallelFork() *Session {
@@ -238,28 +218,29 @@ func (s *Session) ParallelFork() *Session {
 	// concurrent pool workers; Absorb folds the count in after the
 	// join.
 	return &Session{
-		img:   s.img,
-		isa:   s.isa,
-		opts:  s.opts,
-		cache: make(map[uint64]decodeEntry),
-		warm:  s.cache,
-		stats: &Stats{Forks: 1},
+		img:    s.img,
+		isa:    s.isa,
+		opts:   s.opts,
+		cache:  newDecodeCache(nil),
+		warm:   s.cache,
+		stats:  &Stats{Forks: 1},
+		owners: s.owners,
 	}
 }
 
 // Absorb folds a ParallelFork's private decode overlay and counters
 // back into the session after the fork's concurrent phase has joined.
+// The fork's memory high-water mark folds by max, as in Stats.Add.
 func (s *Session) Absorb(f *Session) {
-	for a, e := range f.cache {
-		if _, ok := s.cache[a]; !ok {
-			s.cache[a] = e
-		}
-	}
+	s.cache.absorb(f.cache)
 	s.stats.Forks += f.stats.Forks
 	s.stats.InstsDecoded += f.stats.InstsDecoded
 	s.stats.InstsReused += f.stats.InstsReused
 	s.stats.Probes += f.stats.Probes
 	s.stats.FixedPointPasses += f.stats.FixedPointPasses
+	if f.stats.PeakAuxBytes > s.stats.PeakAuxBytes {
+		s.stats.PeakAuxBytes = f.stats.PeakAuxBytes
+	}
 }
 
 // SetJobs does nothing: committed passes always run the sequential
@@ -370,15 +351,16 @@ func (s *Session) exec(seeds []uint64, opts Options) *Result {
 }
 
 // decode memoizes the pure part of instruction decoding: the section
-// window fetch and the x64 decode at addr.
+// window fetch, the backend ISA decode at addr, and the per-instruction
+// facts the walk derives from it.
 func (s *Session) decode(addr uint64) decodeEntry {
 	// Warm first: a parallel fork finds most decodes in its parent's
 	// cache.
-	if e, ok := s.warm[addr]; ok {
+	if e, ok := s.warm.get(addr); ok {
 		s.stats.InstsReused++
 		return e
 	}
-	if e, ok := s.cache[addr]; ok {
+	if e, ok := s.cache.get(addr); ok {
 		s.stats.InstsReused++
 		return e
 	}
@@ -398,7 +380,7 @@ func (s *Session) decode(addr uint64) decodeEntry {
 			}
 		}
 	}
-	s.cache[addr] = e
+	s.cache.put(addr, e)
 	return e
 }
 
@@ -420,8 +402,9 @@ func (s *Session) pass(seeds []uint64, opts Options,
 		CondNonRet: condNonRet,
 		JTTargets:  make(map[uint64][]uint64),
 		TableBases: make(map[uint64]bool),
-		owner:      s.newOwner(opts),
+		owner:      s.owners.newOwner(opts.MaxInsts > 0),
 	}
+	defer res.owner.release()
 
 	type workItem struct {
 		addr uint64
