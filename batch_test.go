@@ -241,7 +241,7 @@ func TestAnalyzeBatchDedupCountsOneAnalysisPerDistinctBinary(t *testing.T) {
 	for rep := 0; rep < 4; rep++ {
 		inputs = append(inputs, distinct...)
 	}
-	results := AnalyzeBatch(inputs, BatchOptions{Jobs: 4, Cache: cache})
+	results := AnalyzeBatch(inputs, BatchOptions{Jobs: 4, Options: []Option{WithCache(cache)}})
 	for i, br := range results {
 		if br.Err != nil || br.Result == nil {
 			t.Fatalf("item %d: %v", i, br.Err)
@@ -256,7 +256,7 @@ func TestAnalyzeBatchDedupCountsOneAnalysisPerDistinctBinary(t *testing.T) {
 
 	// A second batch over the same corpus is served entirely from the
 	// cache: one lookup per distinct binary, zero new analyses.
-	AnalyzeBatch(inputs, BatchOptions{Jobs: 4, Cache: cache})
+	AnalyzeBatch(inputs, BatchOptions{Jobs: 4, Options: []Option{WithCache(cache)}})
 	st = cache.Stats()
 	if hits, misses, puts := resultTier(st); puts != 3 || hits != 3 || misses != 3 {
 		t.Fatalf("second batch should be one cache hit per distinct binary: %+v", st)

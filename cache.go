@@ -88,8 +88,8 @@ type CacheStats struct {
 // result schema version: re-analyzing a byte-identical binary with the
 // same options returns the stored result without decoding a single
 // instruction, while any change to the binary, the options, or the
-// schema misses cleanly. Attach one to an analysis with WithCache or
-// BatchOptions.Cache.
+// schema misses cleanly. Attach one to an analysis, or to every item
+// of a batch through BatchOptions.Options, with WithCache.
 type Cache struct {
 	rc    *resultcache.Cache
 	delta bool

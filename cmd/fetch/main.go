@@ -168,9 +168,8 @@ func run(args []string, w, errW io.Writer) error {
 			inputs[i] = fetch.Input{Path: p}
 		}
 		results := fetch.AnalyzeBatch(inputs, fetch.BatchOptions{
-			Jobs:      *jobs,
-			IntraJobs: intraJobs(*jobs, fs.NArg()),
-			Options:   opts,
+			Jobs:    *jobs,
+			Options: append(opts, fetch.WithJobs(intraJobs(*jobs, fs.NArg()))),
 		})
 		var firstErr error
 		for _, br := range results {

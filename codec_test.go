@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +17,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files under testda
 
 // codecSample produces a deterministic analyzed Result: a generated
 // binary with every correction class populated, wall times zeroed
-// (the single non-deterministic field family).
+// (the part of the run trace a sequential, uncached analysis does not
+// reproduce).
 func codecSample(t testing.TB) *Result {
 	t.Helper()
 	raw, _, err := GenerateSample(SampleConfig{Seed: 42, NumFuncs: 120, Stripped: true})
@@ -64,17 +66,19 @@ func TestCodecRoundTripPreservesNilVersusEmpty(t *testing.T) {
 		{
 			FunctionStarts: []uint64{},
 			MergedParts:    map[uint64]uint64{},
-			Stats:          Stats{Passes: []PassStat{}},
+			Stats:          Stats{Run: Run{Passes: []PassStat{}}},
 		},
 		{
 			FunctionStarts: []uint64{0x401000, 1<<64 - 1},
 			MergedParts:    map[uint64]uint64{0x1000: 0x2000, 1<<63 + 5: 7},
 			Stats: Stats{
-				Passes:        []PassStat{{Name: "fde", Wall: 123 * time.Microsecond}},
+				Run:           Run{Passes: []PassStat{{Name: "fde", Wall: 123 * time.Microsecond}}},
 				XrefConverged: true,
 			},
 		},
+		fullStats(t),
 	}
+	wantKeys := apiStatsKeys(t)
 	for i, res := range cases {
 		blob, err := EncodeResult(res)
 		if err != nil {
@@ -87,7 +91,93 @@ func TestCodecRoundTripPreservesNilVersusEmpty(t *testing.T) {
 		if !reflect.DeepEqual(res, back) {
 			t.Fatalf("case %d: round trip changed value:\n got %#v\nwant %#v", i, back, res)
 		}
+		var doc struct {
+			Stats map[string]json.RawMessage `json:"stats"`
+		}
+		if err := json.Unmarshal(blob, &doc); err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		for key := range doc.Stats {
+			if !wantKeys[key] {
+				t.Errorf("case %d: encoded stats key %q is not in the docs/API.md table", i, key)
+			}
+		}
+		for key := range wantKeys {
+			if _, ok := doc.Stats[key]; !ok {
+				t.Errorf("case %d: docs/API.md key stats.%s missing from the encoding", i, key)
+			}
+		}
 	}
+}
+
+// fullStats returns a Result whose Stats sets every field, Run's
+// included, to a distinct non-zero value, so a missing, mistyped or
+// duplicated json tag changes the round trip or the key set. It fails
+// if a field was added to Stats or Run without being set here.
+func fullStats(t *testing.T) *Result {
+	t.Helper()
+	res := &Result{Stats: Stats{
+		ColdStarts:     1,
+		Extends:        2,
+		Retracts:       3,
+		XrefIterations: 4,
+		XrefConverged:  true,
+		Truncated:      true,
+		Run: Run{
+			Passes:              []PassStat{{Name: "fde", Wall: 5}, {Name: "xref", Wall: 6 * time.Millisecond}},
+			InstsDecoded:        7,
+			InstsReused:         8,
+			Forks:               9,
+			Probes:              10,
+			Jobs:                11,
+			DeltaPath:           true,
+			DeltaDirtyRanges:    12,
+			DeltaTotalRanges:    13,
+			DeltaFallbackReason: "residue changed",
+			PeakImageBytes:      14,
+			PeakAuxBytes:        15,
+		},
+	}}
+	var check func(v reflect.Value, path string)
+	check = func(v reflect.Value, path string) {
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			if f.IsZero() {
+				t.Fatalf("fullStats leaves %s%s zero", path, v.Type().Field(i).Name)
+			}
+			if v.Type().Field(i).Anonymous {
+				check(f, path+v.Type().Field(i).Name+".")
+			}
+		}
+	}
+	check(reflect.ValueOf(res.Stats), "Stats.")
+	return res
+}
+
+// apiStatsKeys returns the stats keys the docs/API.md field table
+// documents: every backquoted stats.<key> (or bare <key> continuing
+// one) in the first cell of a "| `stats." row.
+func apiStatsKeys(t *testing.T) map[string]bool {
+	t.Helper()
+	doc, err := os.ReadFile(filepath.Join("docs", "API.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := regexp.MustCompile("`([^`]+)`")
+	keys := make(map[string]bool)
+	for _, line := range strings.Split(string(doc), "\n") {
+		if !strings.HasPrefix(line, "| `stats.") {
+			continue
+		}
+		cell := strings.Split(line, "|")[1]
+		for _, m := range code.FindAllStringSubmatch(cell, -1) {
+			keys[strings.TrimSuffix(strings.TrimPrefix(m[1], "stats."), "[]")] = true
+		}
+	}
+	if len(keys) == 0 {
+		t.Fatal("docs/API.md: no stats rows in the field table")
+	}
+	return keys
 }
 
 func TestDecodeRejectsWrongSchemaAndUnknownFields(t *testing.T) {
@@ -133,7 +223,7 @@ func TestCodecGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "result_v6.golden.json")
+	golden := filepath.Join("testdata", "result_v7.golden.json")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -159,8 +249,10 @@ func TestCodecGolden(t *testing.T) {
 }
 
 // TestSummaryNamesMatchSchema enforces the no-drift contract between
-// the CLI's formatting helper and the JSON codec: every non-derived
-// SummaryLine name must resolve to a path in the encoded document.
+// the CLI's formatting helper and the JSON codec in both directions:
+// every non-derived SummaryLine name must resolve to a path in the
+// encoded document, and every key under stats must have a verbose
+// summary line (passes through its stats.passes.<name>.wall_ns lines).
 func TestSummaryNamesMatchSchema(t *testing.T) {
 	res := codecSample(t)
 	blob, err := EncodeResult(res)
@@ -207,6 +299,29 @@ func TestSummaryNamesMatchSchema(t *testing.T) {
 		}
 		if !resolve(line.Name) {
 			t.Errorf("summary line %q has no corresponding schema path", line.Name)
+		}
+	}
+
+	names := make(map[string]bool)
+	for _, line := range Summarize(res, true) {
+		names[line.Name] = true
+	}
+	for key, v := range doc["stats"].(map[string]any) {
+		if key != "passes" {
+			if !names["stats."+key] {
+				t.Errorf("schema key stats.%s has no verbose summary line", key)
+			}
+			continue
+		}
+		passes, _ := v.([]any)
+		if len(passes) == 0 {
+			t.Error("codec sample ran no passes; the passes lines go unchecked")
+		}
+		for _, p := range passes {
+			name := fmt.Sprintf("stats.passes.%v.wall_ns", p.(map[string]any)["name"])
+			if !names[name] {
+				t.Errorf("schema pass %s has no verbose summary line", name)
+			}
 		}
 	}
 }

@@ -28,8 +28,9 @@
 //		for _, start := range r.Result.FunctionStarts { ... }
 //	}
 //
-// Batch results are byte-identical to analyzing each input
-// sequentially: parallelism changes wall-clock time, never output.
+// Batch results match analyzing each input sequentially: parallelism
+// changes wall-clock time and the run trace (Stats.Run), never the
+// detected starts, the corrections or the deterministic counters.
 package fetch
 
 import (
@@ -70,53 +71,69 @@ type Result struct {
 	Stats Stats
 }
 
-// PassStat is one pipeline pass's wall-clock cost. Wall times are the
-// only non-deterministic part of a Result.
+// PassStat is one pipeline pass's wall-clock cost, part of the run
+// trace (Run).
 type PassStat struct {
 	// Name is the pass label: "fde", "recursive", "xref", "tailcall".
-	Name string
-	// Wall is the pass's elapsed time.
-	Wall time.Duration
+	Name string `json:"name"`
+	// Wall is the pass's elapsed time, encoded as integer nanoseconds.
+	Wall time.Duration `json:"wall_ns"`
 }
 
 // Stats makes the pipeline's incremental behavior observable: after
 // the initial recursive sweep, pointer-detection rounds re-analyze via
 // session Extend, §V-B CFI-error recovery via Retract, and candidate
-// validation via fork Probes — never a cold resweep (ColdStarts stays
-// 1). All fields except the pass wall times are deterministic.
+// validation via fork probes — never a cold resweep (ColdStarts stays
+// 1). The named fields are deterministic: a pure function of (binary,
+// strategy). The embedded Run is the trace of one execution.
+//
+// The struct is its own wire form: its tags are the keys of the
+// schema's stats object, with Run's fields promoted into it.
 type Stats struct {
-	// Passes lists the executed pipeline passes in order.
-	Passes []PassStat
-	// InstsDecoded and InstsReused count instruction-decode cache
-	// misses and hits across the whole analysis, including candidate
-	// validation probes.
-	InstsDecoded int64
-	InstsReused  int64
 	// ColdStarts counts disassembly sessions started with an empty
 	// decode cache; the incremental pipeline reports exactly 1.
-	ColdStarts int
-	// Extends, Retracts, Forks, and Probes count the session
-	// operations the pipeline performed.
-	Extends  int
-	Retracts int
-	Forks    int
-	Probes   int
+	ColdStarts int `json:"cold_starts"`
+	// Extends and Retracts count the session operations the pipeline
+	// performed.
+	Extends  int `json:"extends"`
+	Retracts int `json:"retracts"`
 	// XrefIterations counts pointer-detection rounds run;
 	// XrefConverged reports whether every round sequence reached its
 	// fixed point rather than hitting the iteration safety bound.
-	XrefIterations int
-	XrefConverged  bool
+	XrefIterations int  `json:"xref_iterations"`
+	XrefConverged  bool `json:"xref_converged"`
 	// Truncated reports that pointer detection hit its iteration
 	// safety bound before converging. The historical hard cap of 3
 	// rounds truncated silently; the pipeline now iterates to
 	// convergence and records the pathological bound-hit here.
-	Truncated bool
+	Truncated bool `json:"truncated"`
 
+	Run
+}
+
+// Run is the schedule-dependent part of Stats: how one execution ran
+// and was served, never what it found. Its fields vary with Jobs, the
+// scheduler's interleaving, the image backing and the cache tier that
+// answered, so StripSchedule zeroes all of it; this struct is the one
+// list of such fields. A cache hit returns the Run of the stored
+// execution, not of the request it answers.
+type Run struct {
+	// Passes lists the executed pipeline passes in order, with their
+	// wall times.
+	Passes []PassStat `json:"passes"`
+	// InstsDecoded and InstsReused count instruction-decode cache
+	// misses and hits across the whole analysis, including candidate
+	// validation probes.
+	InstsDecoded int64 `json:"insts_decoded"`
+	InstsReused  int64 `json:"insts_reused"`
+	// Forks and Probes count the session forks and probe walks
+	// performed; parallel pointer-candidate validation runs more of
+	// them than the sequential loop.
+	Forks  int `json:"forks"`
+	Probes int `json:"probes"`
 	// Jobs echoes the effective intra-binary parallelism (1 when
-	// sequential). Like the decode counters and wall times it describes
-	// the execution, not the analysis result: jobs=N output is
-	// byte-identical to jobs=1 (see StripSchedule).
-	Jobs int
+	// sequential).
+	Jobs int `json:"jobs"`
 
 	// DeltaPath reports that the result was served by function-granular
 	// delta re-analysis: the binary missed the whole-binary cache, but a
@@ -126,14 +143,11 @@ type Stats struct {
 	// DeltaDirtyRanges and DeltaTotalRanges describe the verified reuse:
 	// how many roster ranges changed out of how many. On a cold run,
 	// DeltaFallbackReason records why a delta attempt gave up ("" when
-	// no attempt was made or the attempt succeeded). All four describe
-	// how the result was obtained, never what it is — a delta-served
-	// result is byte-identical to the cold recomputation after
-	// StripSchedule, which zeroes them.
-	DeltaPath           bool
-	DeltaDirtyRanges    int
-	DeltaTotalRanges    int
-	DeltaFallbackReason string
+	// no attempt was made or the attempt succeeded).
+	DeltaPath           bool   `json:"delta_path"`
+	DeltaDirtyRanges    int    `json:"delta_dirty_ranges"`
+	DeltaTotalRanges    int    `json:"delta_total_ranges"`
+	DeltaFallbackReason string `json:"delta_fallback_reason"`
 
 	// PeakImageBytes is the section content the analysis held on the
 	// Go heap: the whole binary for buffered images (Analyze), only
@@ -141,38 +155,20 @@ type Stats struct {
 	// executable sections zero-copy from an mmap). PeakAuxBytes is the
 	// high-water accounted estimate of analysis data structures
 	// (owner-index chunks, decode cache, data-pointer index) at
-	// documented per-entry costs. Both describe how the analysis ran,
-	// never what it found — buffered and file-backed runs differ here
-	// and nowhere else, so StripSchedule zeroes them.
-	PeakImageBytes int64
-	PeakAuxBytes   int64
+	// documented per-entry costs.
+	PeakImageBytes int64 `json:"peak_image_bytes"`
+	PeakAuxBytes   int64 `json:"peak_aux_bytes"`
 }
 
-// StripSchedule returns a copy of the result with every
-// scheduling-dependent field zeroed: wall times, decode/probe/fork
-// traffic counters, and the job count. What remains — the detected
-// starts, the corrections, and the deterministic pipeline counters
-// (extends, retracts, xref iterations, convergence, truncation) — is
-// identical for every Jobs value and every scheduler interleaving; the
-// differential checkers compare codec encodings of stripped results
-// byte for byte.
+// StripSchedule returns a copy of the result with its run trace
+// (Stats.Run) zeroed. What remains — the detected starts, the
+// corrections, and the deterministic pipeline counters — is identical
+// for every Jobs value, scheduler interleaving, image backing and
+// cache tier; the differential checkers compare codec encodings of
+// stripped results byte for byte.
 func StripSchedule(r *Result) *Result {
 	cp := *r
-	cp.Stats.Passes = append([]PassStat(nil), r.Stats.Passes...)
-	for i := range cp.Stats.Passes {
-		cp.Stats.Passes[i].Wall = 0
-	}
-	cp.Stats.InstsDecoded = 0
-	cp.Stats.InstsReused = 0
-	cp.Stats.Forks = 0
-	cp.Stats.Probes = 0
-	cp.Stats.Jobs = 0
-	cp.Stats.DeltaPath = false
-	cp.Stats.DeltaDirtyRanges = 0
-	cp.Stats.DeltaTotalRanges = 0
-	cp.Stats.DeltaFallbackReason = ""
-	cp.Stats.PeakImageBytes = 0
-	cp.Stats.PeakAuxBytes = 0
+	cp.Stats.Run = Run{}
 	return &cp
 }
 
@@ -191,10 +187,10 @@ type Options struct {
 	// worker pool of that size: pointer-candidate validation,
 	// Algorithm 1's per-FDE precomputations, and the data-pointer
 	// index. The recursive disassembly fixed point stays sequential.
-	// Output is byte-identical for every value (only wall times and
-	// the scheduling-trace counters in Stats change), which is why the
-	// result cache keys on (binary, strategy) and ignores it. Values
-	// ≤ 1 run fully sequentially.
+	// Output is byte-identical for every value (only the run trace,
+	// Stats.Run, changes), which is why the result cache keys on
+	// (binary, strategy) and ignores it. Values ≤ 1 run fully
+	// sequentially.
 	Jobs int
 }
 
@@ -271,8 +267,8 @@ func analyzeData(data []byte, o Options) (*Result, error) {
 // next recompilation of this binary can take the delta path. A cached
 // or delta-served result is byte-for-byte the codec round trip of the
 // result the cold path produced — the oracle's CachedEqualsRecomputed
-// and DeltaEqualsCold checkers hold this equal (modulo the scheduling
-// trace, see StripSchedule) to a recomputation across every
+// and DeltaEqualsCold checkers hold this equal (modulo the run trace,
+// see StripSchedule) to a recomputation across every
 // adversarial profile. The cache key deliberately excludes Jobs:
 // parallel and sequential runs produce the same analysis, so either
 // may serve the other's entry (whose Stats then describe the run that
@@ -393,19 +389,21 @@ func analyzeImageCold(img *elfx.Image, o Options) (*Result, error) {
 // reportToResult converts a pipeline report to the public Result.
 func reportToResult(rep *core.Report) *Result {
 	st := Stats{
-		InstsDecoded:   rep.Stats.Disasm.InstsDecoded,
-		InstsReused:    rep.Stats.Disasm.InstsReused,
 		ColdStarts:     rep.Stats.Disasm.ColdStarts,
 		Extends:        rep.Stats.Disasm.Extends,
 		Retracts:       rep.Stats.Disasm.Retracts,
-		Forks:          rep.Stats.Disasm.Forks,
-		Probes:         rep.Stats.Disasm.Probes,
 		XrefIterations: rep.Stats.XrefIterations,
 		XrefConverged:  rep.Stats.XrefConverged,
 		Truncated:      rep.Stats.Truncated,
-		Jobs:           rep.Stats.Jobs,
-		PeakImageBytes: rep.Stats.PeakImageBytes,
-		PeakAuxBytes:   rep.Stats.PeakAuxBytes,
+		Run: Run{
+			InstsDecoded:   rep.Stats.Disasm.InstsDecoded,
+			InstsReused:    rep.Stats.Disasm.InstsReused,
+			Forks:          rep.Stats.Disasm.Forks,
+			Probes:         rep.Stats.Disasm.Probes,
+			Jobs:           rep.Stats.Jobs,
+			PeakImageBytes: rep.Stats.PeakImageBytes,
+			PeakAuxBytes:   rep.Stats.PeakAuxBytes,
+		},
 	}
 	for _, ps := range rep.Stats.Passes {
 		st.Passes = append(st.Passes, PassStat{Name: ps.Name, Wall: ps.Wall})
@@ -440,24 +438,15 @@ type BatchOptions struct {
 	// sequential path exactly (it also does so for any other value —
 	// see AnalyzeBatch).
 	Jobs int
-	// IntraJobs sets each item's intra-binary parallelism
-	// (Options.Jobs), equivalent to appending WithJobs(IntraJobs) to
-	// Options (an explicit WithJobs there wins). A batch saturating
-	// its workers with Jobs rarely profits from IntraJobs > 1; a batch
-	// of one large binary is the case it exists for.
-	IntraJobs int
 	// Context cancels outstanding work; nil means context.Background.
 	// After cancellation, unstarted items report the context error as
 	// their per-item Err.
 	Context context.Context
-	// Options apply to every item of the batch.
+	// Options apply to every item of the batch: WithJobs sets each
+	// item's intra-binary parallelism, WithCache carries results across
+	// batches and processes (identical inputs within one batch are
+	// deduplicated even without a cache).
 	Options []Option
-	// Cache is the batch-level result cache, equivalent to appending
-	// WithCache(Cache) to Options (an explicit WithCache there wins).
-	// Batches already dedup identical inputs internally even without a
-	// cache; attaching one additionally carries results across batches
-	// and processes.
-	Cache *Cache
 }
 
 // BatchResult is one input's outcome.
@@ -471,9 +460,9 @@ type BatchResult struct {
 }
 
 // AnalyzeBatch runs the FETCH pipeline over a set of binaries using a
-// bounded worker pool. Results come back in input order and are
-// identical to calling Analyze/AnalyzeFile on each input sequentially;
-// per-item failures (unreadable file, corrupt ELF) are captured in the
+// bounded worker pool. Results come back in input order and match
+// calling Analyze/AnalyzeFile on each input sequentially, up to the run
+// trace (Stats.Run); per-item failures (unreadable file, corrupt ELF) are captured in the
 // item's BatchResult without affecting the rest of the batch.
 //
 // Duplicate inputs — the same Path, or byte-identical Data — are
@@ -483,12 +472,6 @@ type BatchResult struct {
 // therefore share one *Result; treat batch results as read-only.
 func AnalyzeBatch(inputs []Input, opts BatchOptions) []BatchResult {
 	o := buildOptions(opts.Options)
-	if o.Cache == nil {
-		o.Cache = opts.Cache
-	}
-	if o.Jobs == 0 {
-		o.Jobs = opts.IntraJobs
-	}
 
 	// Dedup before the pool: map every input to its group key and keep
 	// the distinct groups in first-appearance order, so the pool sees

@@ -94,8 +94,8 @@ type Stats struct {
 	// zero-copy mmap windows are excluded. PeakAuxBytes is the
 	// high-water accounted estimate of analysis-side data structures
 	// (owner-index chunks, decode cache, data-pointer index). Both
-	// describe the execution, not the result, and are zeroed by
-	// StripSchedule.
+	// describe the execution, not the result: the public API reports
+	// them in the run trace, fetch.Run.
 	PeakImageBytes int64
 	PeakAuxBytes   int64
 }

@@ -42,7 +42,7 @@ type Stats struct {
 	// allocated, entries at decodeEntryCost). It is an accounting of
 	// data-structure growth (deterministic for a given call sequence),
 	// not a heap measurement; like the decode counters it is an
-	// execution trace, so StripSchedule zeroes it.
+	// execution trace, reported in the public run trace (fetch.Run).
 	PeakAuxBytes int64
 }
 

@@ -75,8 +75,8 @@ func TestJobsMatrixDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedBatchIntraJobs covers the public batch surface: IntraJobs
-// must not change any result, including under the codec encoding the
+// TestShardedBatchIntraJobs covers the public batch surface: WithJobs
+// in the batch options must not change any result, including under the codec encoding the
 // cache and service persist.
 func TestShardedBatchIntraJobs(t *testing.T) {
 	cfg, err := synth.AdversarialProfile("jump-tables", 8700)
@@ -93,7 +93,7 @@ func TestShardedBatchIntraJobs(t *testing.T) {
 	}
 	inputs := []fetch.Input{{Name: "a", Data: raw}, {Name: "b", Data: raw}}
 	seq := fetch.AnalyzeBatch(inputs, fetch.BatchOptions{Jobs: 1})
-	par := fetch.AnalyzeBatch(inputs, fetch.BatchOptions{Jobs: 2, IntraJobs: 4})
+	par := fetch.AnalyzeBatch(inputs, fetch.BatchOptions{Jobs: 2, Options: []fetch.Option{fetch.WithJobs(4)}})
 	for i := range seq {
 		if seq[i].Err != nil || par[i].Err != nil {
 			t.Fatalf("item %d: errs %v / %v", i, seq[i].Err, par[i].Err)
@@ -107,7 +107,7 @@ func TestShardedBatchIntraJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 		if string(a) != string(b) {
-			t.Errorf("item %d: IntraJobs changed the encoded result", i)
+			t.Errorf("item %d: WithJobs(4) changed the encoded result", i)
 		}
 	}
 }

@@ -24,11 +24,11 @@ type SummaryLine struct {
 }
 
 // Summarize renders a Result as the labeled lines cmd/fetch prints:
-// the headline detection counts, and — when verbose — the incremental-
-// session statistics and per-pass wall times. It is the single
-// formatting path between the analysis types and human-readable
-// output; anything it reports uses the JSON schema's field names and
-// units.
+// the headline detection counts, and — when verbose — every stats
+// field: the analysis counters, then the run trace (Run) with the
+// per-pass wall times last. It is the single formatting path between
+// the analysis types and human-readable output; anything it reports
+// uses the JSON schema's field names and units.
 func Summarize(res *Result, verbose bool) []SummaryLine {
 	lines := []SummaryLine{
 		{"function_starts", fmt.Sprintf("%d", len(res.FunctionStarts))},
@@ -44,18 +44,22 @@ func Summarize(res *Result, verbose bool) []SummaryLine {
 	}
 	st := res.Stats
 	lines = append(lines,
-		SummaryLine{"stats.insts_decoded", fmt.Sprintf("%d", st.InstsDecoded)},
-		SummaryLine{"stats.insts_reused", fmt.Sprintf("%d", st.InstsReused)},
-		SummaryLine{"derived.reused_pct", fmt.Sprintf("%.1f%%", reusedPct(st))},
 		SummaryLine{"stats.cold_starts", fmt.Sprintf("%d", st.ColdStarts)},
 		SummaryLine{"stats.extends", fmt.Sprintf("%d", st.Extends)},
 		SummaryLine{"stats.retracts", fmt.Sprintf("%d", st.Retracts)},
-		SummaryLine{"stats.forks", fmt.Sprintf("%d", st.Forks)},
-		SummaryLine{"stats.probes", fmt.Sprintf("%d", st.Probes)},
 		SummaryLine{"stats.xref_iterations", fmt.Sprintf("%d", st.XrefIterations)},
 		SummaryLine{"stats.xref_converged", fmt.Sprintf("%v", st.XrefConverged)},
 		SummaryLine{"stats.truncated", fmt.Sprintf("%v", st.Truncated)},
+		SummaryLine{"stats.insts_decoded", fmt.Sprintf("%d", st.InstsDecoded)},
+		SummaryLine{"stats.insts_reused", fmt.Sprintf("%d", st.InstsReused)},
+		SummaryLine{"derived.reused_pct", fmt.Sprintf("%.1f%%", reusedPct(st))},
+		SummaryLine{"stats.forks", fmt.Sprintf("%d", st.Forks)},
+		SummaryLine{"stats.probes", fmt.Sprintf("%d", st.Probes)},
 		SummaryLine{"stats.jobs", fmt.Sprintf("%d", st.Jobs)},
+		SummaryLine{"stats.delta_path", fmt.Sprintf("%v", st.DeltaPath)},
+		SummaryLine{"stats.delta_dirty_ranges", fmt.Sprintf("%d", st.DeltaDirtyRanges)},
+		SummaryLine{"stats.delta_total_ranges", fmt.Sprintf("%d", st.DeltaTotalRanges)},
+		SummaryLine{"stats.delta_fallback_reason", fmt.Sprintf("%q", st.DeltaFallbackReason)},
 		SummaryLine{"stats.peak_image_bytes", fmt.Sprintf("%d", st.PeakImageBytes)},
 		SummaryLine{"stats.peak_aux_bytes", fmt.Sprintf("%d", st.PeakAuxBytes)},
 	)
