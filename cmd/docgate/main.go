@@ -3,7 +3,7 @@
 //
 //  1. Godoc completeness — every exported identifier (package clause,
 //     top-level func/type/const/var, and methods on exported types) in
-//     the gated packages carries a doc comment.
+//     every package under the root carries a doc comment.
 //  2. Snippets compile — every ```go fence in the gated markdown files
 //     builds against the current public API. Whole-file snippets
 //     (starting with a package clause) compile as-is; fragments are
@@ -34,11 +34,6 @@ import (
 	"strings"
 )
 
-// gatedPackages are the default package directories whose exported
-// surface must be fully documented (the acceptance list of issue 4
-// plus the packages this PR introduced).
-const gatedPackages = ".,internal/disasm,internal/oracle,internal/pool,internal/synth,internal/core,internal/resultcache,internal/service,internal/mmapfile,internal/arch,internal/a64"
-
 // gatedDocs are the markdown files whose go fences must build.
 const gatedDocs = "README.md,docs/ARCHITECTURE.md,docs/API.md"
 
@@ -51,14 +46,24 @@ func run(args []string, w, errW io.Writer) int {
 	fs := flag.NewFlagSet("docgate", flag.ContinueOnError)
 	fs.SetOutput(errW)
 	root := fs.String("root", ".", "repository root")
-	pkgs := fs.String("pkgs", gatedPackages, "comma-separated package dirs to check for godoc completeness")
+	pkgs := fs.String("pkgs", "", "comma-separated package dirs to check for godoc completeness (default: every package under -root)")
 	docs := fs.String("docs", gatedDocs, "comma-separated markdown files whose go fences must build")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	var problems []string
-	for _, dir := range strings.Split(*pkgs, ",") {
+	dirs := strings.Split(*pkgs, ",")
+	pkgsSet := false
+	fs.Visit(func(f *flag.Flag) { pkgsSet = pkgsSet || f.Name == "pkgs" })
+	if !pkgsSet {
+		var err error
+		if dirs, err = packageDirs(*root); err != nil {
+			fmt.Fprintf(errW, "docgate: %v\n", err)
+			return 1
+		}
+	}
+	for _, dir := range dirs {
 		dir = strings.TrimSpace(dir)
 		if dir == "" {
 			continue
@@ -95,6 +100,39 @@ func run(args []string, w, errW io.Writer) int {
 }
 
 // --- godoc completeness ---
+
+// packageDirs returns every directory under root, relative to it, that
+// holds a non-test .go file. Like the go tool, it skips testdata and
+// directories whose names start with "." or "_".
+func packageDirs(root string) ([]string, error) {
+	seen := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			rel, err := filepath.Rel(root, filepath.Dir(path))
+			if err != nil {
+				return err
+			}
+			seen[rel] = true
+		}
+		return nil
+	})
+	dirs := make([]string, 0, len(seen))
+	for dir := range seen {
+		dirs = append(dirs, dir)
+	}
+	sort.Strings(dirs)
+	return dirs, err
+}
 
 // undocumented reports every exported identifier in dir (non-test
 // files) that lacks a doc comment, as "dir/file:line: name" strings.

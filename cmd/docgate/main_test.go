@@ -141,6 +141,32 @@ func TestRunDocGateExitCodes(t *testing.T) {
 	}
 }
 
+// TestPackageDirsWalksTree pins the default package set: every
+// directory with a non-test .go file, nested ones and the root
+// included, minus testdata and "." / "_" directories.
+func TestPackageDirsWalksTree(t *testing.T) {
+	root := gateRoot(t, map[string]string{
+		"root.go":               "package root\n",
+		"a/a.go":                "package a\n",
+		"a/b/b.go":              "package b\n",
+		"a/b/c/c_test.go":       "package c\n",
+		"testdata/t.go":         "package t\n",
+		".hidden/h.go":          "package h\n",
+		"_skip/s.go":            "package s\n",
+		"nested/mod/go.mod":     "module mod\n",
+		"nested/mod/m.go":       "package m\n",
+		"docs/only-markdown.md": "text\n",
+	})
+	got, err := packageDirs(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{".", "a", "a/b", "nested/mod"}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("packageDirs = %q, want %q", got, want)
+	}
+}
+
 // TestRepoGateIsGreen runs the real gate over the working tree — the
 // same invocation CI uses. It fails whenever someone adds a bare
 // exported identifier to a gated package or a broken snippet to the

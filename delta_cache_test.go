@@ -2,12 +2,14 @@ package fetch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"fetch/internal/ehframe"
 	"fetch/internal/elfx"
 	"fetch/internal/synth"
 )
@@ -353,3 +355,88 @@ var errResultMismatch = errorString("concurrent analysis differs from cold resul
 type errorString string
 
 func (e errorString) Error() string { return string(e) }
+
+// nonExecCallPair hand-builds the base/next pair behind the
+// non-executable call rule. Base: f calls an unmapped address and
+// returns; a call whose target is not a detected function does not
+// return, so f is non-returning and g's walk stops after `call f`,
+// leaving h undetected. Next: the call is a 5-byte nop, so f returns
+// and g goes on to call h. Only f's FDE range differs; h has no FDE.
+func nonExecCallPair(t *testing.T) (baseRaw, nextRaw []byte) {
+	t.Helper()
+	const f, g, h, ehAddr = 0x401000, 0x401006, 0x401011, 0x402000
+	call := func(at, target uint64) []byte {
+		b := []byte{0xE8, 0, 0, 0, 0}
+		binary.LittleEndian.PutUint32(b[1:], uint32(target-(at+5)))
+		return b
+	}
+	build := func(fBody []byte) []byte {
+		code := append(append([]byte(nil), fBody...), call(g, f)...)
+		code = append(code, call(g+5, h)...)
+		code = append(code, 0xC3, 0xC3) // g: ret; h: ret
+		cie := ehframe.NewDefaultCIE()
+		eh, err := (&ehframe.Section{Addr: ehAddr, CIEs: []*ehframe.CIE{cie}, FDEs: []*ehframe.FDE{
+			{CIE: cie, PCBegin: f, PCRange: g - f},
+			{CIE: cie, PCBegin: g, PCRange: h - g},
+		}}).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := elfx.WriteELF(&elfx.Image{Entry: g, Sections: []*elfx.Section{
+			{Name: ".text", Addr: f, Data: code, Flags: elfx.FlagAlloc | elfx.FlagExec},
+			{Name: ".eh_frame", Addr: ehAddr, Data: eh, Flags: elfx.FlagAlloc},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	callUnmapped := append(call(f, 0x999999), 0xC3)
+	nop5 := []byte{0x0F, 0x1F, 0x44, 0x00, 0x00, 0xC3}
+	return build(callUnmapped), build(nop5)
+}
+
+// TestDeltaCallToNonExecTarget: delta replay and the global inference
+// must apply one rule to a call whose target is not a detected
+// function (it does not return). A replay that let f's unmapped call
+// return would judge base and next f alike and serve the base result,
+// which misses h.
+func TestDeltaCallToNonExecTarget(t *testing.T) {
+	baseRaw, nextRaw := nonExecCallPair(t)
+	cache, err := NewCache(CacheConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, _, err := cache.Analyze(baseRaw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cache.Stats().DeltaPuts == 0 {
+		t.Fatal("base run recorded no delta trace")
+	}
+	through, _, err := cache.Analyze(nextRaw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Analyze(nextRaw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cold.FunctionStarts) == len(base.FunctionStarts) {
+		t.Fatalf("pair does not change the function set: %#x", cold.FunctionStarts)
+	}
+	got, err := EncodeResult(StripSchedule(through))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EncodeResult(StripSchedule(cold))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("next build differs from cold (delta_path=%v reason=%q):\n got %#x\nwant %#x",
+			through.Stats.DeltaPath, through.Stats.DeltaFallbackReason,
+			through.FunctionStarts, cold.FunctionStarts)
+	}
+	t.Logf("delta_path=%v reason=%q", through.Stats.DeltaPath, through.Stats.DeltaFallbackReason)
+}

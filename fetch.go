@@ -83,7 +83,7 @@ type PassStat struct {
 // Stats makes the pipeline's incremental behavior observable: after
 // the initial recursive sweep, pointer-detection rounds re-analyze via
 // session Extend, §V-B CFI-error recovery via Retract, and candidate
-// validation via fork probes — never a cold resweep (ColdStarts stays
+// validation via session probes — never a cold resweep (ColdStarts stays
 // 1). The named fields are deterministic: a pure function of (binary,
 // strategy). The embedded Run is the trace of one execution.
 //
@@ -126,9 +126,10 @@ type Run struct {
 	// validation probes.
 	InstsDecoded int64 `json:"insts_decoded"`
 	InstsReused  int64 `json:"insts_reused"`
-	// Forks and Probes count the session forks and probe walks
-	// performed; parallel pointer-candidate validation runs more of
-	// them than the sequential loop.
+	// Forks and Probes count the parallel session forks and probe
+	// walks performed. Only parallel pointer-candidate validation
+	// forks (one per candidate), so a sequential run reports no forks
+	// and fewer probes.
 	Forks  int `json:"forks"`
 	Probes int `json:"probes"`
 	// Jobs echoes the effective intra-binary parallelism (1 when

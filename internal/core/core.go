@@ -67,7 +67,7 @@ type Stats struct {
 	// Passes lists the executed passes in order with wall times.
 	Passes []PassStat
 	// Disasm aggregates the shared session's counters, including its
-	// forks' candidate-validation probes.
+	// candidate-validation probes.
 	Disasm disasm.Stats
 	// XrefIterations counts xref.Detect rounds actually run, summed
 	// over every pointer-detection invocation (the initial fixed point
@@ -328,9 +328,9 @@ func (p *pipeline) runRecursive() error {
 
 // fdeRanges returns the FDE extents minus the excluded starts, for the
 // §IV-E jump-into-function rule.
-func (p *pipeline) fdeRanges(exclude map[uint64]bool) []disasm.FuncRange {
+func fdeRanges(sec *ehframe.Section, exclude map[uint64]bool) []disasm.FuncRange {
 	var out []disasm.FuncRange
-	for _, f := range p.rep.Sec.FDEs {
+	for _, f := range sec.FDEs {
 		if exclude != nil && exclude[f.PCBegin] {
 			continue
 		}
@@ -378,14 +378,14 @@ func (p *pipeline) xrefIterBound() int {
 
 // runXref iterates pointer detection to convergence (a round that
 // accepts nothing), extending the session with each accepted batch.
-// Candidate validation probes run on session forks, so speculative
-// decodes land in the shared cache without corrupting the committed
+// Candidate validation walks are session probes, so speculative
+// decodes land in the shared cache without touching the committed
 // state. The iteration count is recorded in Stats; hitting the safety
 // bound before the fixed point marks the analysis Truncated — loudly,
 // where the historical cap of 3 truncated silently.
 func (p *pipeline) runXref(exclude map[uint64]bool) {
 	opts := xref.Options{
-		KnownRanges: p.fdeRanges(exclude),
+		KnownRanges: fdeRanges(p.rep.Sec, exclude),
 		Session:     p.sess,
 		Jobs:        p.cfg.Jobs,
 		Index:       p.dataIndex(),

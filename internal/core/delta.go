@@ -244,8 +244,8 @@ func ReplayDelta(in DeltaInput) DeltaOutcome {
 			if !built {
 				built = true
 				cov = disasm.BuildCoverage(substituteCoverage(tr, dirty, freshFacts))
-				krPre = deltaFDERanges(in.Sec, nil)
-				krPost = deltaFDERanges(in.Sec, toSet(tr.Removed))
+				krPre = fdeRanges(in.Sec, nil)
+				krPost = fdeRanges(in.Sec, toSet(tr.Removed))
 			}
 			kr := krPre
 			if rec.Post {
@@ -384,11 +384,9 @@ func verifyRange(oldSess, newSess *disasm.Session, rng disasm.FuncRange,
 				verdictEntries = append(verdictEntries, t)
 			}
 		}
-		returnsOf := func(t uint64) bool { return !envNR[t] }
-		isFunc := func(t uint64) bool { return funcs[t] }
 		for _, e := range verdictEntries {
-			vo, qo, oko := wlOld.EntryReturns(e, returnsOf, isFunc)
-			vn, qn, okn := wlNew.EntryReturns(e, returnsOf, isFunc)
+			vo, qo, oko := wlOld.EntryReturns(e, envNR, funcs)
+			vn, qn, okn := wlNew.EntryReturns(e, envNR, funcs)
 			if !oko || !okn {
 				return "verdict walk escaped the range"
 			}
@@ -398,13 +396,13 @@ func verifyRange(oldSess, newSess *disasm.Session, rng disasm.FuncRange,
 			if reason := checkQueried(qo, qn, tset, uNR, uCNR, ev); reason != "" {
 				return reason
 			}
-			ho, bo, qo2, oko2 := wlOld.CondFacts(e, isFunc)
-			hn, bn, qn2, okn2 := wlNew.CondFacts(e, isFunc)
+			co, qo2, oko2 := wlOld.CondFacts(e, envNR, funcs)
+			cn, qn2, okn2 := wlNew.CondFacts(e, envNR, funcs)
 			if !oko2 || !okn2 {
 				return "conditional-verdict walk escaped the range"
 			}
-			if ho != hn || !u64Equal(bo, bn) {
-				return "conditional-non-return facts differ"
+			if co != cn {
+				return "conditional-non-return verdict differs"
 			}
 			if reason := checkQueried(qo2, qn2, tset, uNR, uCNR, ev); reason != "" {
 				return reason
@@ -522,19 +520,6 @@ func substituteCoverage(tr *Trace, dirty []int, freshFacts map[int]*disasm.Local
 		out = append(out, f)
 	}
 	out = append(out, fresh[k:]...)
-	return out
-}
-
-// deltaFDERanges mirrors pipeline.fdeRanges for re-validation: every
-// FDE extent, minus the excluded starts.
-func deltaFDERanges(sec *ehframe.Section, exclude map[uint64]bool) []disasm.FuncRange {
-	var out []disasm.FuncRange
-	for _, f := range sec.FDEs {
-		if exclude != nil && exclude[f.PCBegin] {
-			continue
-		}
-		out = append(out, disasm.FuncRange{Start: f.PCBegin, End: f.End()})
-	}
 	return out
 }
 

@@ -47,6 +47,9 @@ type FuncRange struct {
 	End   uint64
 }
 
+// contains reports whether a lies in [r.Start, r.End).
+func (r *FuncRange) contains(a uint64) bool { return a >= r.Start && a < r.End }
+
 // Options configure a recursive disassembly run.
 type Options struct {
 	// ResolveJumpTables enables the bounded DYNINST-style jump-table
@@ -102,6 +105,10 @@ type Result struct {
 	// decoded instruction — the one order-sensitive walk rule that is
 	// invisible in the final instruction set (see SawMid).
 	sawMid bool
+	// escaped records that a scoped walk (WalkLocal) ran past its
+	// range: a fall-through out of it, or an instruction straddling
+	// its end.
+	escaped bool
 	// isa is the backend the walk decoded with; the inference passes
 	// use it for the gate-register test and backward-scan bounds.
 	isa arch.ISA

@@ -8,19 +8,19 @@ import (
 	"fetch/internal/arch"
 )
 
-// This file implements the function-local replay machinery behind
-// delta re-analysis (ROADMAP item 3): re-running the committed-pass
-// walk restricted to one FDE-delimited byte range, and evaluating the
-// non-return verdicts of that range's entries, against an explicit
-// verdict environment. The delta path analyzes only the ranges whose
-// bytes changed between two builds and compares the local facts
-// against the recorded ones; everything here therefore mirrors the
-// committed pass (Session.pass) and the inference walks (funcReturns,
-// isCondNonRet) instruction for instruction. Any situation the local
-// model cannot reproduce faithfully — a run crossing the range
-// boundary, an instruction straddling the range end, a mid-instruction
-// arrival — is reported as a flag, and the caller falls back to a cold
-// run: fidelity gaps cost time, never correctness.
+// This file holds the range-local view of the analysis behind delta
+// re-analysis (ROADMAP item 3). The delta path analyzes only the
+// ranges whose bytes changed between two builds and compares what each
+// range shows the rest of the binary against the recorded run. It runs
+// no walk of its own: WalkLocal is the committed pass (Session.pass)
+// confined to one FDE-delimited byte range, and EntryReturns and
+// CondFacts are the non-return inference walks (funcReturns,
+// isCondNonRet) over that pass's result, under an explicit verdict
+// environment. Anything the confined walk cannot answer from the
+// range's own bytes — a run leaving the range, an instruction
+// straddling its end, a mid-instruction arrival — is reported as a
+// flag or !ok, and the caller falls back to a cold run: fidelity gaps
+// cost time, never correctness.
 
 // InstFact is the persisted skeleton of one decoded instruction:
 // enough to rebuild coverage (owner) queries without re-decoding.
@@ -118,10 +118,6 @@ const (
 	// LocalSawMid: the walk arrived mid-instruction; the union-of-walks
 	// order-independence argument no longer holds.
 	LocalSawMid
-	// LocalVerdictEscape: a verdict evaluation (funcReturns /
-	// isCondNonRet mirror) stepped outside the range through an edge
-	// the global walk would have followed into foreign code.
-	LocalVerdictEscape
 )
 
 // LocalFacts are the cross-range-visible outputs of one restricted
@@ -134,7 +130,7 @@ type LocalFacts struct {
 	// Calls is the sorted set of direct-call targets (function starts
 	// this range contributes).
 	Calls []uint64
-	// Pushes is the sorted set of jcc/jmp/jump-table push targets
+	// Pushes is the sorted set of call, jump and jump-table targets
 	// outside the range (coverage this range contributes elsewhere).
 	Pushes []uint64
 	// RefCounts counts Refs contributions per target (calls and jumps,
@@ -202,7 +198,7 @@ func u64SlicesEqual(a, b []uint64) bool {
 }
 
 // LocalWalk is the result of one restricted walk: the public facts
-// plus the private instruction state the verdict evaluators run over.
+// plus the pass result the verdict evaluations run over.
 type LocalWalk struct {
 	rng   FuncRange
 	res   *Result
@@ -212,195 +208,60 @@ type LocalWalk struct {
 // Facts returns the walk's cross-visible facts.
 func (lw *LocalWalk) Facts() *LocalFacts { return lw.facts }
 
-// WalkLocal runs the committed-pass recursive descent restricted to
-// [rng.Start, rng.End), from the given entry addresses, under the
-// given non-return environment. It mirrors Session.pass exactly —
-// same gate rules, same rdi tracking, same jump-table analysis — but
-// records pushes that leave the range as facts instead of following
-// them, exactly as the global walk's contribution of this range would
-// appear to every other range. Decodes go through the session cache.
+// WalkLocal runs the committed pass under the session's options,
+// confined to [rng.Start, rng.End), from the given entry addresses,
+// under the given non-return environment, and projects the result
+// onto the facts this range shows the rest of the binary: pushes that
+// leave the range are recorded instead of followed, as the global
+// walk's contribution of this range would appear to every other range.
 func (s *Session) WalkLocal(rng FuncRange, entries []uint64,
 	nonRet, condNonRet map[uint64]bool) *LocalWalk {
 
-	img := s.img
-	facts := &LocalFacts{RefCounts: make(map[uint64]int)}
-	res := &Result{
-		isa:        s.isa,
-		Insts:      make(map[uint64]*arch.Inst),
-		Funcs:      make(map[uint64]bool),
-		Refs:       make(map[uint64][]uint64),
-		Constants:  make(map[uint64]bool),
-		NonRet:     nonRet,
-		CondNonRet: condNonRet,
-		JTTargets:  make(map[uint64][]uint64),
-		TableBases: make(map[uint64]bool),
-		// Range-bounded like a capped probe: pooled scratch.
-		owner: s.owners.newOwner(true),
+	res := s.pass(entries, s.opts, nonRet, condNonRet, &rng)
+	facts := &LocalFacts{
+		Insts:      res.InstFacts(),
+		RefCounts:  make(map[uint64]int, len(res.Refs)),
+		Consts:     sortedKeys(res.Constants),
+		TableBases: sortedKeys(res.TableBases),
+		TableReads: res.TableReads(),
 	}
-	defer res.owner.release()
-	inRange := func(a uint64) bool { return a >= rng.Start && a < rng.End }
-
-	type workItem struct {
-		addr uint64
-		rdi  rdiState
-	}
-	var work []workItem
-	pushed := map[uint64]bool{}
-	push := func(addr uint64, rdi rdiState) {
-		// Out-of-range pushes become facts; in-range pushes are walked.
-		if !inRange(addr) {
-			facts.Pushes = append(facts.Pushes, addr)
-			return
-		}
-		if !pushed[addr] {
-			pushed[addr] = true
-			work = append(work, workItem{addr, rdi})
+	for t, from := range res.Refs {
+		facts.RefCounts[t] = len(from)
+		if !rng.contains(t) {
+			facts.Pushes = append(facts.Pushes, t)
 		}
 	}
-	addRef := func(target, from uint64) {
-		res.Refs[target] = append(res.Refs[target], from)
-		facts.RefCounts[target]++
-	}
-
-	for _, sd := range entries {
-		res.Funcs[sd] = true
-		if !inRange(sd) {
-			continue
+	sort.Slice(facts.Pushes, func(i, j int) bool { return facts.Pushes[i] < facts.Pushes[j] })
+	for _, f := range facts.Insts {
+		in := res.Insts[f.Addr]
+		switch in.Op {
+		case arch.OpCall:
+			if s.img.IsExec(in.Target) {
+				facts.Calls = append(facts.Calls, in.Target)
+			}
+		case arch.OpJcc, arch.OpJmp:
+			if !rng.contains(in.Target) {
+				facts.JmpOut = append(facts.JmpOut, JumpFact{in.Addr, in.Target, in.Op == arch.OpJcc})
+			}
 		}
-		if !pushed[sd] {
-			pushed[sd] = true
-			work = append(work, workItem{sd, rdiUnknown})
-		}
 	}
-
-	for len(work) > 0 {
-		item := work[len(work)-1]
-		work = work[:len(work)-1]
-		addr := item.addr
-		rdi := item.rdi
-
-		for {
-			if !inRange(addr) {
-				// A fall-through run reached the boundary: the global
-				// walk would continue into the neighbor's bytes.
-				facts.Flags |= LocalEscape
-				break
-			}
-			if _, seen := res.Insts[addr]; seen {
-				break
-			}
-			if owner, mid := res.owner.get(addr); mid && owner != addr {
-				res.sawMid = true
-				facts.Flags |= LocalSawMid
-				break
-			}
-			if !img.IsExec(addr) {
-				break
-			}
-			e := s.decode(addr)
-			if e.kind != decodeOK {
-				break
-			}
-			in := e.inst
-			if in.Next() > rng.End {
-				// Straddles the range end: the decode itself reads
-				// neighbor bytes.
-				facts.Flags |= LocalEscape
-				break
-			}
-			res.Insts[addr] = in
-			res.owner.setRange(addr, int(in.Len))
-			for _, c := range e.consts {
-				res.Constants[c] = true
-			}
-
-			switch e.rdi {
-			case arch.GateSetUnknown:
-				rdi = rdiUnknown
-			case arch.GateSetZero:
-				rdi = rdiZero
-			case arch.GateSetNonZero:
-				rdi = rdiNonZero
-			}
-
-			switch in.Op {
-			case arch.OpCall:
-				t := in.Target
-				if !img.IsExec(t) {
-					break // falls through below, like the global walk
-				}
-				addRef(t, in.Addr)
-				res.Funcs[t] = true
-				facts.Calls = append(facts.Calls, t)
-				push(t, rdiUnknown)
-				if nonRet[t] {
-					goto pathDone
-				}
-				if condNonRet[t] && rdi != rdiZero {
-					goto pathDone
-				}
-				rdi = rdiUnknown
-				addr = in.Next()
-				continue
-			case arch.OpJcc:
-				t := in.Target
-				if img.IsExec(t) {
-					addRef(t, in.Addr)
-					push(t, rdiUnknown)
-				}
-				if !inRange(t) {
-					facts.JmpOut = append(facts.JmpOut, JumpFact{in.Addr, t, true})
-				}
-				addr = in.Next()
-				continue
-			case arch.OpJmp:
-				t := in.Target
-				if img.IsExec(t) {
-					addRef(t, in.Addr)
-					push(t, rdiUnknown)
-				}
-				if !inRange(t) {
-					facts.JmpOut = append(facts.JmpOut, JumpFact{in.Addr, t, false})
-				}
-				goto pathDone
-			case arch.OpJmpInd:
-				targets := s.isa.ResolveJumpTable(jtCtx{img: img, isa: s.isa, res: res}, in, maxJumpTableEntries)
-				if len(targets) > 0 {
-					res.JTTargets[in.Addr] = targets
-				}
-				for _, t := range targets {
-					addRef(t, in.Addr)
-					push(t, rdiUnknown)
-				}
-				goto pathDone
-			case arch.OpRet, arch.OpUd2, arch.OpHlt, arch.OpInt3:
-				goto pathDone
-			}
-			addr = in.Next()
-		}
-	pathDone:
-	}
-
-	// Project the private result into the sorted fact lists.
-	facts.Insts = make([]InstFact, 0, len(res.Insts))
-	for a, in := range res.Insts {
-		facts.Insts = append(facts.Insts, InstFact{a, uint16(in.Len)})
-	}
-	sort.Slice(facts.Insts, func(i, j int) bool { return facts.Insts[i].Addr < facts.Insts[j].Addr })
 	facts.Calls = sortedDistinct(facts.Calls)
-	facts.Pushes = sortedDistinct(facts.Pushes)
-	for c := range res.Constants {
-		facts.Consts = append(facts.Consts, c)
+	if res.escaped {
+		facts.Flags |= LocalEscape
 	}
-	sort.Slice(facts.Consts, func(i, j int) bool { return facts.Consts[i] < facts.Consts[j] })
-	for b := range res.TableBases {
-		facts.TableBases = append(facts.TableBases, b)
+	if res.sawMid {
+		facts.Flags |= LocalSawMid
 	}
-	sort.Slice(facts.TableBases, func(i, j int) bool { return facts.TableBases[i] < facts.TableBases[j] })
-	facts.TableReads = append(facts.TableReads, res.tableReads...)
-	sort.Slice(facts.JmpOut, func(i, j int) bool { return facts.JmpOut[i].Addr < facts.JmpOut[j].Addr })
-
 	return &LocalWalk{rng: rng, res: res, facts: facts}
+}
+
+func sortedKeys(m map[uint64]bool) []uint64 {
+	var out []uint64
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
 func sortedDistinct(in []uint64) []uint64 {
@@ -417,149 +278,28 @@ func sortedDistinct(in []uint64) []uint64 {
 	return out
 }
 
-// EntryReturns mirrors funcReturns for one entry of the walked range
-// against an explicit returns assignment for foreign functions.
-// returnsOf answers "does function t return" for delegated call and
-// tail-jump targets; isFunc answers global function-set membership
-// (the tail-jump gate). queried collects every target whose returnsOf
-// or isFunc answer influenced the outcome, so the caller can reject
+// EntryReturns is funcReturns for one entry of the walked range: does
+// the entry return when the functions in nonRet never do and funcs is
+// the function-start set? A call to a target outside funcs does not
+// return, exactly as in the global inference. queried lists every
+// target whose answer the verdict consulted, so the caller can reject
 // environments where those answers were iteration-dependent. ok=false
-// means the evaluation escaped the range and the verdict cannot be
-// derived locally.
-func (lw *LocalWalk) EntryReturns(entry uint64,
-	returnsOf func(uint64) bool, isFunc func(uint64) bool) (verdict bool, queried []uint64, ok bool) {
-
-	res := lw.res
-	inRange := func(a uint64) bool { return a >= lw.rng.Start && a < lw.rng.End }
-	query := func(t uint64) { queried = append(queried, t) }
-	seen := map[uint64]bool{}
-	stack := []uint64{entry}
-	for len(stack) > 0 {
-		a := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for {
-			if seen[a] {
-				break
-			}
-			in, found := res.Insts[a]
-			if !found {
-				if inRange(a) {
-					break // no coverage here, same as the global walk
-				}
-				return false, queried, false // escaped
-			}
-			seen[a] = true
-			switch in.Op {
-			case arch.OpRet:
-				return true, queried, true
-			case arch.OpJcc:
-				stack = append(stack, in.Target)
-				a = in.Next()
-				continue
-			case arch.OpJmp:
-				t := in.Target
-				query(t)
-				if isFunc(t) && t != entry {
-					if returnsOf(t) {
-						return true, queried, true
-					}
-				} else {
-					stack = append(stack, t)
-				}
-			case arch.OpJmpInd:
-				for _, t := range res.JTTargets[a] {
-					stack = append(stack, t)
-				}
-			case arch.OpCall:
-				query(in.Target)
-				if returnsOf(in.Target) {
-					a = in.Next()
-					continue
-				}
-			case arch.OpUd2, arch.OpHlt, arch.OpInt3:
-				// Terminal.
-			default:
-				a = in.Next()
-				continue
-			}
-			break
-		}
-	}
-	return false, queried, true
+// means the walk left the range and the verdict cannot be derived
+// locally.
+func (lw *LocalWalk) EntryReturns(entry uint64, nonRet, funcs map[uint64]bool) (verdict bool, queried []uint64, ok bool) {
+	env := &verdictEnv{funcs: funcs, nonRet: nonRet, scope: &lw.rng}
+	verdict = funcReturns(lw.res, entry, env)
+	return verdict, env.queried, !env.escaped
 }
 
-// CondFacts mirrors isCondNonRet's environment-independent skeleton
-// for one entry: whether the entry block tests the first argument, and
-// the set of call targets reachable by the body walk (which ignores
-// gates). The verdict under any environment is then
-// hasTest && (targets ∩ nonRet ≠ ∅). queried collects function-set
-// membership queries; ok=false means the walk escaped the range.
-func (lw *LocalWalk) CondFacts(entry uint64, isFunc func(uint64) bool) (hasTest bool, bodyCalls []uint64, queried []uint64, ok bool) {
-	res := lw.res
-	inRange := func(a uint64) bool { return a >= lw.rng.Start && a < lw.rng.End }
-
-	a := entry
-	gate := res.isa.GateReg()
-	for k := 0; k < 3; k++ {
-		in, found := res.Insts[a]
-		if !found {
-			return false, nil, nil, true
-		}
-		if arch.IsGateTest(in, gate) {
-			hasTest = true
-			break
-		}
-		if in.IsBranch() || in.IsCall() {
-			return false, nil, nil, true
-		}
-		a = in.Next()
-	}
-	if !hasTest {
-		return false, nil, nil, true
-	}
-
-	seen := map[uint64]bool{}
-	stack := []uint64{entry}
-	for len(stack) > 0 {
-		a := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for {
-			if seen[a] {
-				break
-			}
-			in, found := res.Insts[a]
-			if !found {
-				if inRange(a) {
-					break
-				}
-				return false, nil, nil, false // escaped
-			}
-			seen[a] = true
-			if in.Op == arch.OpCall {
-				bodyCalls = append(bodyCalls, in.Target)
-				a = in.Next()
-				continue
-			}
-			if in.Op == arch.OpJcc {
-				stack = append(stack, in.Target)
-				a = in.Next()
-				continue
-			}
-			if in.Op == arch.OpJmp {
-				queried = append(queried, in.Target)
-				if !isFunc(in.Target) {
-					stack = append(stack, in.Target)
-				}
-				break
-			}
-			if in.Terminates() || in.Op == arch.OpInt3 {
-				break
-			}
-			a = in.Next()
-			continue
-		}
-	}
-	return true, sortedDistinct(bodyCalls), queried, true
+// CondFacts is isCondNonRet for one entry of the walked range under
+// the same environment as EntryReturns: is the entry an
+// error/error_at_line-style function whose first-argument test guards
+// a call into nonRet? queried and ok are as for EntryReturns.
+func (lw *LocalWalk) CondFacts(entry uint64, nonRet, funcs map[uint64]bool) (verdict bool, queried []uint64, ok bool) {
+	env := &verdictEnv{funcs: funcs, nonRet: nonRet, scope: &lw.rng}
+	verdict = isCondNonRet(lw.res, entry, env)
+	return verdict, env.queried, !env.escaped
 }
 
 // BuildCoverage constructs a coverage-only Result from persisted

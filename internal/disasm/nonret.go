@@ -4,6 +4,60 @@ import (
 	"fetch/internal/arch"
 )
 
+// verdictEnv is what the non-return verdict walks (funcReturns,
+// isCondNonRet) know about functions other than the one they walk.
+// The global inference passes the pass's own function set and its
+// current non-returning set; delta replay's range-local evaluation
+// (EntryReturns, CondFacts) passes a recorded function set and one
+// enumerated environment, plus a scope.
+type verdictEnv struct {
+	// funcs is the function-start set: a jmp to a member is a tail
+	// edge, and a call to a non-member never returns.
+	funcs map[uint64]bool
+	// nonRet holds the functions known never to return.
+	nonRet map[uint64]bool
+	// scope, when set, confines the walk to one range: arriving at an
+	// undecoded address outside it sets escaped and ends the walk,
+	// because the answer there depends on bytes outside the range.
+	scope *FuncRange
+	// queried collects, in scoped walks only, every target whose
+	// function-set membership or verdict the walk consulted.
+	queried []uint64
+	// escaped records that a scoped walk reached an undecoded address
+	// outside its scope.
+	escaped bool
+}
+
+// query notes that the walk's outcome consulted t.
+func (e *verdictEnv) query(t uint64) {
+	if e.scope != nil {
+		e.queried = append(e.queried, t)
+	}
+}
+
+// returns reports whether a call to t returns: t must be a detected
+// function not known to be non-returning.
+func (e *verdictEnv) returns(t uint64) bool {
+	e.query(t)
+	return e.funcs[t] && !e.nonRet[t]
+}
+
+// isFunc reports whether t is a detected function start.
+func (e *verdictEnv) isFunc(t uint64) bool {
+	e.query(t)
+	return e.funcs[t]
+}
+
+// inst returns the decoded instruction at a; a miss outside the scope
+// marks the walk escaped.
+func (e *verdictEnv) inst(res *Result, a uint64) (*arch.Inst, bool) {
+	in, ok := res.Insts[a]
+	if !ok && e.scope != nil && !e.scope.contains(a) {
+		e.escaped = true
+	}
+	return in, ok
+}
+
 // inferNonReturning computes the non-returning function set over a
 // disassembly result by monotone fixed point: a function returns when
 // some intra-procedural path reaches a ret (call fall-through is only
@@ -21,40 +75,31 @@ func inferNonReturning(res *Result) (map[uint64]bool, map[uint64]bool) {
 	// current knowledge. (A pessimistic least fixed point would
 	// deadlock on mutual recursion, wrongly marking the whole cycle
 	// non-returning.)
-	returns := make(map[uint64]bool, len(funcs))
-	for _, f := range funcs {
-		returns[f] = true
-	}
+	env := &verdictEnv{funcs: res.Funcs, nonRet: map[uint64]bool{}}
 	for changed := true; changed; {
 		changed = false
 		for _, f := range funcs {
-			if !returns[f] {
+			if env.nonRet[f] {
 				continue
 			}
-			if !funcReturns(res, f, returns) {
-				returns[f] = false
+			if !funcReturns(res, f, env) {
+				env.nonRet[f] = true
 				changed = true
 			}
 		}
 	}
-	nonRet := map[uint64]bool{}
-	for _, f := range funcs {
-		if !returns[f] {
-			nonRet[f] = true
-		}
-	}
 	cond := map[uint64]bool{}
 	for _, f := range funcs {
-		if returns[f] && isCondNonRet(res, f, nonRet) {
+		if !env.nonRet[f] && isCondNonRet(res, f, env) {
 			cond[f] = true
 		}
 	}
-	return nonRet, cond
+	return env.nonRet, cond
 }
 
 // funcReturns walks the intra-procedural instructions of f (as decoded
 // so far) looking for a reachable ret, delegating through tail jumps.
-func funcReturns(res *Result, f uint64, returns map[uint64]bool) bool {
+func funcReturns(res *Result, f uint64, env *verdictEnv) bool {
 	seen := map[uint64]bool{}
 	stack := []uint64{f}
 	for len(stack) > 0 {
@@ -64,8 +109,11 @@ func funcReturns(res *Result, f uint64, returns map[uint64]bool) bool {
 			if seen[a] {
 				break
 			}
-			in, ok := res.Insts[a]
+			in, ok := env.inst(res, a)
 			if !ok {
+				if env.escaped {
+					return false
+				}
 				break
 			}
 			seen[a] = true
@@ -78,9 +126,9 @@ func funcReturns(res *Result, f uint64, returns map[uint64]bool) bool {
 				continue
 			case arch.OpJmp:
 				t := in.Target
-				if res.Funcs[t] && t != f {
+				if env.isFunc(t) && t != f {
 					// Tail edge: f returns iff the target does.
-					if returns[t] {
+					if env.returns(t) {
 						return true
 					}
 				} else {
@@ -91,7 +139,7 @@ func funcReturns(res *Result, f uint64, returns map[uint64]bool) bool {
 					stack = append(stack, t)
 				}
 			case arch.OpCall:
-				if returns[in.Target] {
+				if env.returns(in.Target) {
 					a = in.Next()
 					continue
 				}
@@ -112,8 +160,10 @@ func funcReturns(res *Result, f uint64, returns map[uint64]bool) bool {
 // isCondNonRet matches the error/error_at_line shape: an entry-block
 // test of the first argument register, a returning path, and a path
 // into a non-returning call.
-func isCondNonRet(res *Result, f uint64, nonRet map[uint64]bool) bool {
-	// Entry test within the first three instructions.
+func isCondNonRet(res *Result, f uint64, env *verdictEnv) bool {
+	// Entry test within the first three instructions. A miss past a
+	// scope's end does not escape: such a prefix has no call, and the
+	// body walk below stops before the scope end or escapes itself.
 	a := f
 	gate := res.isa.GateReg()
 	sawTest := false
@@ -144,13 +194,19 @@ func isCondNonRet(res *Result, f uint64, nonRet map[uint64]bool) bool {
 			if seen[a] {
 				break
 			}
-			in, ok := res.Insts[a]
+			in, ok := env.inst(res, a)
 			if !ok {
+				if env.escaped {
+					return false
+				}
 				break
 			}
 			seen[a] = true
-			if in.Op == arch.OpCall && nonRet[in.Target] {
-				return true
+			if in.Op == arch.OpCall {
+				env.query(in.Target)
+				if env.nonRet[in.Target] {
+					return true
+				}
 			}
 			if in.Op == arch.OpJcc {
 				stack = append(stack, in.Target)
@@ -158,7 +214,7 @@ func isCondNonRet(res *Result, f uint64, nonRet map[uint64]bool) bool {
 				continue
 			}
 			if in.Op == arch.OpJmp {
-				if !res.Funcs[in.Target] {
+				if !env.isFunc(in.Target) {
 					stack = append(stack, in.Target)
 				}
 				break

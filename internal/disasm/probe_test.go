@@ -156,11 +156,10 @@ func TestProbeOwnerMatchesSparse(t *testing.T) {
 		} {
 			sess := NewSession(im, defaultOpts())
 			sess.Extend(seeds)
-			fork := sess.Fork()
 			ref := sparseSession(im, defaultOpts())
 			for i := 0; i < len(seeds); i += 5 {
 				for _, cand := range []uint64{seeds[i], seeds[i] + 1, seeds[i] + 2} {
-					got := fork.Probe([]uint64{cand}, opts)
+					got := sess.Probe([]uint64{cand}, opts)
 					want := ref.Probe([]uint64{cand}, opts)
 					lo, hi := walkBounds(want)
 					requireSameOwners(t, "probe", got, want, lo, hi)
@@ -237,7 +236,7 @@ func TestAbsorbFoldsPeakAuxBytes(t *testing.T) {
 	}
 }
 
-// BenchmarkProbe measures one capped fork probe — the §IV-E candidate
+// BenchmarkProbe measures one capped session probe — the §IV-E candidate
 // validation walk — over a synthetic binary whose decodes are already
 // cached, so ns/op, B/op and allocs/op isolate the walk's own
 // structures.
@@ -258,16 +257,15 @@ func BenchmarkProbe(b *testing.B) {
 	seeds := sec.FunctionStarts()
 	sess := NewSession(im, defaultOpts())
 	sess.Extend(seeds)
-	fork := sess.Fork()
 	opts := Options{ResolveJumpTables: true, Strict: true, MaxInsts: 2000}
 	insts := 0
 	for _, s := range seeds {
-		insts += len(fork.Probe([]uint64{s}, opts).Insts)
+		insts += len(sess.Probe([]uint64{s}, opts).Insts)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fork.Probe([]uint64{seeds[i%len(seeds)]}, opts)
+		sess.Probe([]uint64{seeds[i%len(seeds)]}, opts)
 	}
 	b.ReportMetric(float64(insts)/float64(len(seeds)), "insts/probe")
 }

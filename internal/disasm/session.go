@@ -16,14 +16,14 @@ type Stats struct {
 	// from a previous decode of the same address.
 	InstsReused int64
 	// ColdStarts counts sessions created with an empty decode cache.
-	// Forks share their parent's cache and do not increment it, so a
-	// fully incremental pipeline reports exactly one.
+	// Parallel forks read their parent's cache and do not increment it,
+	// so a fully incremental pipeline reports exactly one.
 	ColdStarts int
 	// Extends, Retracts, and Reruns count committed seed-set updates.
 	Extends  int
 	Retracts int
 	Reruns   int
-	// Forks counts copy-on-write session forks.
+	// Forks counts parallel forks (ParallelFork).
 	Forks int
 	// Probes counts speculative one-shot walks (candidate validation,
 	// jump-table resolution) that left committed state untouched.
@@ -181,27 +181,6 @@ func NewSession(img *elfx.Image, opts Options) *Session {
 	}
 }
 
-// Fork returns a cheap copy-on-write view of the session: the decode
-// cache and stats are shared (new decodes made by the fork benefit the
-// parent and vice versa — decodes are pure, so this is safe), while
-// the committed seed list and result are the fork's own. Use a fork to
-// probe speculative decodes, e.g. §IV-E candidate validation, without
-// corrupting the main state. A fork is serial like its parent.
-func (s *Session) Fork() *Session {
-	s.stats.Forks++
-	return &Session{
-		img:    s.img,
-		isa:    s.isa,
-		opts:   s.opts,
-		cache:  s.cache,
-		stats:  s.stats,
-		warm:   s.warm,
-		owners: s.owners,
-		seeds:  append([]uint64(nil), s.seeds...),
-		res:    s.res,
-	}
-}
-
 // ParallelFork returns a fork that is safe to use concurrently with
 // other ParallelForks of the same session: it reads the parent's
 // decode cache as an immutable warm store and writes new decodes to a
@@ -314,9 +293,9 @@ func (s *Session) execCommitted(seeds []uint64, opts Options) *Result {
 }
 
 // Probe runs a one-shot walk from seeds under opts without touching
-// the committed seed list or result. Candidate validation and
-// jump-table resolution use it (through a Fork) for speculative
-// decodes.
+// the committed seed list or result and without notifying the
+// observer. Candidate validation calls it directly for speculative
+// decodes; the decodes land in the shared cache.
 func (s *Session) Probe(seeds []uint64, opts Options) *Result {
 	s.stats.Probes++
 	return s.exec(seeds, opts)
@@ -331,7 +310,7 @@ func (s *Session) exec(seeds []uint64, opts Options) *Result {
 	condNonRet := map[uint64]bool{}
 	var res *Result
 	for iter := 0; iter < 6; iter++ {
-		res = s.pass(seeds, opts, nonRet, condNonRet)
+		res = s.pass(seeds, opts, nonRet, condNonRet, nil)
 		s.notePassMem(res)
 		if s.observing && s.obs != nil {
 			s.obs.OnPass(nonRet, condNonRet, res)
@@ -387,8 +366,14 @@ func (s *Session) decode(addr uint64) decodeEntry {
 // pass performs one full recursive descent with the current
 // non-return knowledge, identical to the historical from-scratch pass
 // except that instruction decodes come from the session cache.
+//
+// A non-nil scope confines the walk to one byte range (delta replay's
+// range-local walk, WalkLocal): pushes outside it are recorded in Refs
+// but not walked, and a fall-through run that leaves the range or an
+// instruction that straddles its end marks the result escaped, since
+// the global walk would go on into the neighbour's bytes there.
 func (s *Session) pass(seeds []uint64, opts Options,
-	nonRet, condNonRet map[uint64]bool) *Result {
+	nonRet, condNonRet map[uint64]bool, scope *FuncRange) *Result {
 
 	s.stats.FixedPointPasses++
 	img := s.img
@@ -402,7 +387,8 @@ func (s *Session) pass(seeds []uint64, opts Options,
 		CondNonRet: condNonRet,
 		JTTargets:  make(map[uint64][]uint64),
 		TableBases: make(map[uint64]bool),
-		owner:      s.owners.newOwner(opts.MaxInsts > 0),
+		// Capped and scoped walks are bounded: pooled scratch.
+		owner: s.owners.newOwner(opts.MaxInsts > 0 || scope != nil),
 	}
 	defer res.owner.release()
 
@@ -413,7 +399,7 @@ func (s *Session) pass(seeds []uint64, opts Options,
 	var work []workItem
 	pushed := map[uint64]bool{}
 	push := func(addr uint64, rdi rdiState) {
-		if !pushed[addr] {
+		if !pushed[addr] && (scope == nil || scope.contains(addr)) {
 			pushed[addr] = true
 			work = append(work, workItem{addr, rdi})
 		}
@@ -451,6 +437,10 @@ func (s *Session) pass(seeds []uint64, opts Options,
 			if opts.MaxInsts > 0 && len(res.Insts) >= opts.MaxInsts {
 				return res
 			}
+			if scope != nil && !scope.contains(addr) {
+				res.escaped = true
+				break
+			}
 			if _, seen := res.Insts[addr]; seen {
 				break
 			}
@@ -475,6 +465,10 @@ func (s *Session) pass(seeds []uint64, opts Options,
 				break
 			}
 			in := e.inst
+			if scope != nil && in.Next() > scope.End {
+				res.escaped = true
+				break
+			}
 			res.Insts[addr] = in
 			res.owner.setRange(addr, int(in.Len))
 			for _, c := range e.consts {
@@ -549,9 +543,6 @@ func (s *Session) pass(seeds []uint64, opts Options,
 					targets := s.isa.ResolveJumpTable(jtCtx{img: img, isa: s.isa, res: res}, in, maxJumpTableEntries)
 					if len(targets) > 0 {
 						res.JTTargets[in.Addr] = targets
-						if m, ok := in.IndirectMem(); ok && m.Disp > 0 {
-							res.TableBases[uint64(m.Disp)] = true
-						}
 					}
 					for _, t := range targets {
 						addRef(t, in.Addr)

@@ -152,10 +152,9 @@ func TestSessionRerunMatchesScratch(t *testing.T) {
 	requireEqualResults(t, "rerun", got, want)
 }
 
-// TestSessionForkProbe validates the copy-on-write contract: fork
-// probes are byte-identical to scratch runs under their own options,
-// they never perturb the parent's committed state, and their decodes
-// land in the shared cache.
+// TestSessionForkProbe validates the probe contract: probes are
+// byte-identical to scratch runs under their own options, they never
+// perturb the session's committed state, and they reuse its decodes.
 func TestSessionForkProbe(t *testing.T) {
 	im, _, sec := buildBinary(t, 112, func(c *synth.Config) { c.IndirectOnlyRate = 0.1 })
 	seeds := sec.FunctionStarts()
@@ -165,31 +164,30 @@ func TestSessionForkProbe(t *testing.T) {
 	committed := sess.Extend(seeds)
 
 	probeOpts := Options{ResolveJumpTables: true, Strict: true, MaxInsts: 2000}
-	fork := sess.Fork()
 	// Probe every committed seed plus deliberately misaligned
 	// candidates (seed+1 lands mid-instruction or on padding).
 	for _, c := range seeds {
 		for _, cand := range []uint64{c, c + 1} {
-			got := fork.Probe([]uint64{cand}, probeOpts)
+			got := sess.Probe([]uint64{cand}, probeOpts)
 			want := Recursive(im, []uint64{cand}, probeOpts)
 			requireEqualResults(t, "probe", got, want)
 		}
 	}
 	if sess.Result() != committed {
-		t.Fatal("probing a fork replaced the parent's committed result")
+		t.Fatal("probing replaced the session's committed result")
 	}
 	want := Recursive(im, seeds, opts)
 	requireEqualResults(t, "committed-after-probes", sess.Result(), want)
 
 	st := sess.Stats()
-	if st.Forks != 1 {
-		t.Errorf("Forks = %d, want 1", st.Forks)
+	if st.Forks != 0 {
+		t.Errorf("Forks = %d, want 0", st.Forks)
 	}
 	if st.Probes != 2*len(seeds) {
 		t.Errorf("Probes = %d, want %d", st.Probes, 2*len(seeds))
 	}
 	if st.InstsReused == 0 {
-		t.Error("fork probes reused no decodes from the parent")
+		t.Error("probes reused no decodes from the committed walk")
 	}
 }
 
@@ -216,9 +214,5 @@ func TestSessionStatsAccounting(t *testing.T) {
 	}
 	if second.InstsReused <= first.InstsReused {
 		t.Error("second extend reused no additional decodes")
-	}
-	// Forks share the cache: they must not count as cold starts.
-	if st := sess.Fork().Stats(); st.ColdStarts != 1 {
-		t.Errorf("fork ColdStarts = %d, want 1 (shared with parent)", st.ColdStarts)
 	}
 }

@@ -166,9 +166,10 @@ type Options struct {
 	// conventions.
 	DisableRule [4]bool
 	// Session, when set, supplies the incremental disassembly state:
-	// candidate validation walks run on a fork of it, so every probe
+	// candidate validation walks are probes on it, so every probe
 	// reuses (and feeds) the binary's shared decode cache instead of
-	// decoding from scratch. Results are byte-identical either way.
+	// decoding from scratch, while its committed result stays intact.
+	// Results are byte-identical either way.
 	Session *disasm.Session
 	// Jobs > 1 validates each round's candidates concurrently (on
 	// parallel session forks when Session is set). Validation is a
@@ -195,12 +196,6 @@ type Options struct {
 func Detect(img *elfx.Image, res *disasm.Result, funcs map[uint64]bool, opts Options) []uint64 {
 	if opts.MaxValidationInsts == 0 {
 		opts.MaxValidationInsts = 2000
-	}
-	// Speculative validation walks run on a copy-on-write fork: probe
-	// decodes land in the shared cache, committed state stays intact.
-	var probe *disasm.Session
-	if opts.Session != nil {
-		probe = opts.Session.Fork()
 	}
 	var accepted []uint64
 	acceptedSet := map[uint64]bool{}
@@ -245,7 +240,7 @@ func Detect(img *elfx.Image, res *disasm.Result, funcs map[uint64]bool, opts Opt
 				v := precomputed[c]
 				newRes, ok = v.res, v.ok
 			} else {
-				newRes, ok = validate(img, res, c, opts, probe)
+				newRes, ok = validate(img, res, c, opts, opts.Session)
 			}
 			if opts.Observer != nil {
 				opts.Observer(c, ok, newRes)
@@ -354,17 +349,13 @@ func ContiguousEnd(v *disasm.Result, c uint64) uint64 {
 // Detect run — the delta path re-validates exactly the candidates
 // whose recorded verdicts depend on changed bytes. res supplies the
 // committed-coverage queries (a coverage-only result suffices); a
-// non-nil sess provides cached decoding via a fork. The verdict is
+// non-nil sess provides cached decoding through a probe. The verdict is
 // identical to the one Detect would compute against the same state.
 func ValidateCandidate(img *elfx.Image, res *disasm.Result, c uint64, opts Options, sess *disasm.Session) (*disasm.Result, bool) {
 	if opts.MaxValidationInsts == 0 {
 		opts.MaxValidationInsts = 2000
 	}
-	var probe *disasm.Session
-	if sess != nil {
-		probe = sess.Fork()
-	}
-	return validate(img, res, c, opts, probe)
+	return validate(img, res, c, opts, sess)
 }
 
 // validate applies rules (i)-(iv) to one candidate. A non-nil probe
