@@ -17,7 +17,11 @@ import (
 // CacheConfig parameterizes NewCache.
 type CacheConfig struct {
 	// MaxEntries bounds the in-memory level; non-positive selects the
-	// package default (1024 entries).
+	// package default (1024 entries). Delta-tier entries count toward
+	// the bound: a recorded cold run writes one per-function range
+	// entry per FDE-delimited range besides its result and manifest,
+	// so a binary with more functions than the bound leaves only its
+	// newest ranges in memory.
 	MaxEntries int
 	// Dir enables a persistent on-disk level when non-empty. Entries
 	// survive process restarts; writes are atomic and corrupted or
@@ -157,18 +161,7 @@ func HashBinary(data []byte) [sha256.Size]byte {
 // populates the entries it serves. The Result is freshly decoded and
 // owned by the caller.
 func (c *Cache) Get(sum [sha256.Size]byte, opts ...Option) (*Result, bool) {
-	o := buildOptions(opts)
-	blob, ok := c.rc.Get(cacheKey(sum, o.Strategy))
-	if !ok {
-		return nil, false
-	}
-	res, err := DecodeResult(blob)
-	if err != nil {
-		// An undecodable entry (e.g. written by a newer build within
-		// the same schema version) is a miss, not an error.
-		return nil, false
-	}
-	return res, true
+	return c.lookup(cacheKey(sum, buildOptions(opts).Strategy))
 }
 
 // Analyze is Analyze-with-WithCache plus hit observability: it runs
@@ -194,6 +187,8 @@ func (c *Cache) AnalyzeFile(path string, opts ...Option) (res *Result, cached bo
 }
 
 // lookup returns the decoded entry for a key, if present and valid.
+// An undecodable entry (e.g. written by a newer build within the same
+// schema version) is a miss, not an error.
 func (c *Cache) lookup(k resultcache.Key) (*Result, bool) {
 	blob, ok := c.rc.Get(k)
 	if !ok {
@@ -269,20 +264,18 @@ func fnKey(sum [sha256.Size]byte) resultcache.Key {
 	return resultcache.Key{SHA256: sum, Variant: "fn", Schema: ResultSchemaVersion}
 }
 
-// storeTrace persists a recorded analysis's delta tier: the manifest
-// under the residue key and each roster range under its content hash.
-// Failures drop entries silently — the delta tier is an accelerator,
-// never a correctness dependency.
-func (c *Cache) storeTrace(tr *core.Trace, img *elfx.Image, s core.Strategy) {
+// storeRecorded persists a recorded cold run: each roster range under
+// its content hash, then the result under key, then the manifest under
+// the residue key. The order keeps the result and manifest the two
+// newest entries, so a run with more ranges than the memory bound does
+// not evict its own result, and no manifest is visible before the
+// result it points at. Delta-tier failures drop entries silently — the
+// tier is an accelerator, never a correctness dependency.
+func (c *Cache) storeRecorded(key resultcache.Key, res *Result, tr *core.Trace, img *elfx.Image, s core.Strategy) {
 	if tr == nil || !c.delta {
+		c.store(key, res)
 		return
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(tr); err != nil {
-		return
-	}
-	c.rc.Put(manifestKey(tr.ResidueHash, s), buf.Bytes())
-	c.deltaPuts.Add(1)
 	for i := range tr.Roster {
 		ri := &tr.Roster[i]
 		body := core.RangeBytes(img, ri.Start, ri.End)
@@ -295,6 +288,14 @@ func (c *Cache) storeTrace(tr *core.Trace, img *elfx.Image, s core.Strategy) {
 		c.rc.Put(fnKey(ri.Hash), payload)
 		c.deltaPuts.Add(1)
 	}
+	c.store(key, res)
+	tr.BinSHA = key.SHA256
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(tr); err != nil {
+		return
+	}
+	c.rc.Put(manifestKey(tr.ResidueHash, s), buf.Bytes())
+	c.deltaPuts.Add(1)
 }
 
 // loadTrace fetches and decodes the manifest for a residue hash.

@@ -143,6 +143,31 @@ func TestCacheAnalyzeReportsHit(t *testing.T) {
 	}
 }
 
+// TestRecordedRunKeepsOwnResult pins the write order of a recorded
+// cold run: a binary with more function ranges than the default
+// memory bound (1,024 entries) must still be a hit on its second
+// analysis, because the per-range entries it writes evict each other,
+// never its result.
+func TestRecordedRunKeepsOwnResult(t *testing.T) {
+	cache, err := NewCache(CacheConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, _, err := GenerateSample(SampleConfig{Seed: 9016, NumFuncs: 1500, Stripped: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, cached, err := cache.Analyze(bin); err != nil || cached {
+		t.Fatalf("first: cached=%v err=%v", cached, err)
+	}
+	if st := cache.Stats(); st.Evictions == 0 {
+		t.Fatalf("sample too small to overflow the memory bound: %+v", st)
+	}
+	if _, cached, err := cache.Analyze(bin); err != nil || !cached {
+		t.Fatalf("second: cached=%v err=%v, stats %+v", cached, err, cache.Stats())
+	}
+}
+
 func TestDiskCacheSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	bin := sampleBytes(t, 9005)

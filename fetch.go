@@ -358,11 +358,7 @@ func analyzeImageCached(key resultcache.Key, img *elfx.Image, o Options) (*Resul
 		return nil, false, err
 	}
 	cres := reportToResult(rep)
-	o.Cache.store(key, cres)
-	if tr != nil {
-		tr.BinSHA = key.SHA256
-	}
-	o.Cache.storeTrace(tr, simg, o.Strategy)
+	o.Cache.storeRecorded(key, cres, tr, simg, o.Strategy)
 	// The fallback reason rides only on the returned copy, after the
 	// canonical blob is stored.
 	cres.Stats.DeltaFallbackReason = outcome.Reason

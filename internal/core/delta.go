@@ -87,8 +87,6 @@ type DeltaInput struct {
 	// Strategy must equal the recorded run's strategy (the cache keys
 	// traces by strategy variant, so this is structural).
 	Strategy Strategy
-	// MaxDirtyFraction overrides DefaultMaxDirtyFraction when > 0.
-	MaxDirtyFraction float64
 }
 
 // DeltaOutcome reports a ReplayDelta verification.
@@ -155,11 +153,7 @@ func ReplayDelta(in DeltaInput) DeltaOutcome {
 		out.OK = true
 		return out
 	}
-	maxFrac := in.MaxDirtyFraction
-	if maxFrac <= 0 {
-		maxFrac = DefaultMaxDirtyFraction
-	}
-	if totalBytes == 0 || float64(dirtyBytes)/float64(totalBytes) > maxFrac {
+	if totalBytes == 0 || float64(dirtyBytes)/float64(totalBytes) > DefaultMaxDirtyFraction {
 		return fail("dirty fraction %.2f over budget", float64(dirtyBytes)/float64(totalBytes))
 	}
 

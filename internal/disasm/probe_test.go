@@ -236,36 +236,72 @@ func TestAbsorbFoldsPeakAuxBytes(t *testing.T) {
 	}
 }
 
+// probeBench builds the probe workload: a synthetic binary whose
+// decodes are already cached by a full Extend, the FDE seeds to probe
+// one at a time, and the capped options of §IV-E candidate validation.
+// insts is the mean instruction count of one probe.
+func probeBench(tb testing.TB) (sess *Session, seeds []uint64, opts Options, insts float64) {
+	tb.Helper()
+	cfg := synth.DefaultConfig("probe-bench", 7, synth.O2, synth.GCC, synth.LangC)
+	im, _, err := synth.Generate(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eh, ok := im.Section(".eh_frame")
+	if !ok {
+		tb.Fatal("no .eh_frame")
+	}
+	sec, err := ehframe.Decode(eh.Data, eh.Addr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	seeds = sec.FunctionStarts()
+	sess = NewSession(im, defaultOpts())
+	sess.Extend(seeds)
+	opts = Options{ResolveJumpTables: true, Strict: true, MaxInsts: 2000}
+	total := 0
+	for _, s := range seeds {
+		total += len(sess.Probe([]uint64{s}, opts).Insts)
+	}
+	return sess, seeds, opts, float64(total) / float64(len(seeds))
+}
+
 // BenchmarkProbe measures one capped session probe — the §IV-E candidate
 // validation walk — over a synthetic binary whose decodes are already
 // cached, so ns/op, B/op and allocs/op isolate the walk's own
 // structures.
 func BenchmarkProbe(b *testing.B) {
-	cfg := synth.DefaultConfig("probe-bench", 7, synth.O2, synth.GCC, synth.LangC)
-	im, _, err := synth.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eh, ok := im.Section(".eh_frame")
-	if !ok {
-		b.Fatal("no .eh_frame")
-	}
-	sec, err := ehframe.Decode(eh.Data, eh.Addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	seeds := sec.FunctionStarts()
-	sess := NewSession(im, defaultOpts())
-	sess.Extend(seeds)
-	opts := Options{ResolveJumpTables: true, Strict: true, MaxInsts: 2000}
-	insts := 0
-	for _, s := range seeds {
-		insts += len(sess.Probe([]uint64{s}, opts).Insts)
-	}
+	sess, seeds, opts, insts := probeBench(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sess.Probe([]uint64{seeds[i%len(seeds)]}, opts)
 	}
-	b.ReportMetric(float64(insts)/float64(len(seeds)), "insts/probe")
+	b.ReportMetric(insts, "insts/probe")
+}
+
+// probeAllocsCeiling is the mean allocation count of one probe in the
+// probeBench workload (1,665 instructions a probe), measured with
+// go1.24.0 on linux/amd64 by testing.AllocsPerRun over one probe of
+// every seed, the same with and without -race. It counts Go map
+// allocations, so it moves with the toolchain's map implementation. A
+// change that moves it updates the constant and says why.
+const probeAllocsCeiling = 317
+
+// TestProbeAllocCeiling fails when a candidate-validation probe
+// allocates more than the recorded ceiling, e.g. one extra allocation
+// per probe.
+func TestProbeAllocCeiling(t *testing.T) {
+	sess, seeds, opts, insts := probeBench(t)
+	if int(insts) != 1665 {
+		t.Fatalf("probe workload walks %.1f instructions a probe, want 1665", insts)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(len(seeds), func() {
+		sess.Probe([]uint64{seeds[i%len(seeds)]}, opts)
+		i++
+	})
+	if allocs > probeAllocsCeiling {
+		t.Errorf("probe: %.0f allocs, ceiling %d", allocs, probeAllocsCeiling)
+	}
 }
